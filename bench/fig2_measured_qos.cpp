@@ -19,20 +19,21 @@ namespace {
 
 /// Contention-free serving scenario for one workload (the measured
 /// counterpart of the analytic Fig. 2 series).
-dc::Scenario light_scenario(const std::string& workload, std::uint64_t seed) {
+dc::Scenario light_scenario(const workload::WorkloadProfile& profile, std::uint64_t seed) {
   dc::Scenario s;
-  s.name = "light:" + workload;
-  s.workload = workload;
-  s.arrival.kind = dc::ArrivalKind::kPoisson;
+  s.name = "light:" + profile.name;
+  s.profile = profile;
+  s.policy = dc::BalancePolicy::kLeastLoaded;
+  s.servers = 2;
+  dc::TenantSpec& t = s.tenants[0];
+  t.arrival.kind = dc::ArrivalKind::kPoisson;
   // Light enough that queueing contributes < a few percent to p99 even at
   // the 0.2 GHz end of the sweep, where service is ~5x slower.
   const int cores = sim::ClusterConfig{}.hierarchy.cores;
-  s.arrival.rate = dc::rate_for_load(0.015, 2, cores, 8'000);
-  s.policy = dc::BalancePolicy::kLeastLoaded;
-  s.servers = 2;
-  s.user_instructions_per_request = 8'000;
-  s.requests = 300;
-  s.warmup_requests = 40;
+  t.arrival.rate = dc::rate_for_load(0.015, 2, cores, 8'000);
+  t.user_instructions_per_request = 8'000;
+  t.requests = 300;
+  t.warmup_requests = 40;
   s.seed = seed;
   return s;
 }
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
                "delta %", "util"});
   std::cout << "Measured vs analytic normalized p99 (contention-free Poisson):\n";
   for (std::size_t w = 0; w < profiles.size(); ++w) {
-    const auto scenario = light_scenario(profiles[w].name, 11 + w);
+    const auto scenario = light_scenario(profiles[w], 11 + w);
     const auto measured = dse::sweep_measured_qos(scenario, targets[w], grid);
     for (std::size_t i = 0; i < grid.size(); ++i) {
       const double analytic_norm = qos::normalized_latency(
@@ -119,7 +120,8 @@ int main(int argc, char** argv) {
       fracs += TextTable::num(a, 2);
     }
     c.add_row({catalog[i].name, to_string(catalog[i].policy),
-               to_string(catalog[i].arrival.kind), TextTable::num(in_us(results[i].p99), 1),
+               to_string(catalog[i].tenants[0].arrival.kind),
+               TextTable::num(in_us(results[i].p99), 1),
                TextTable::num(in_us(results[i].mean_latency), 1),
                TextTable::num(results[i].utilization, 3),
                std::to_string(results[i].offered),

@@ -107,8 +107,8 @@ int run_smoke() {
   // Short NTC-boost diurnal run with asserted bounds: the CI gate for
   // the closed-loop subsystem.
   dc::Scenario s = dc::Scenario::by_name("webserving-diurnal-ntcboost");
-  s.requests = 400;
-  s.warmup_requests = 40;
+  s.tenants[0].requests = 400;
+  s.tenants[0].warmup_requests = 40;
   // Freeze the measured Web Serving curve's *shape* (a 2.65x UIPS range
   // over the 0.2-2 GHz axis — the knee the full run measures) instead of
   // paying a measurement sweep: the NTC pin only wins where the curve is

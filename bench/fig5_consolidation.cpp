@@ -126,8 +126,8 @@ int run_smoke() {
   //    worst the violation count of the least-loaded baseline.
   {
     dc::Scenario s = dc::Scenario::by_name("webserving-diurnal-ntcboost");
-    s.requests = 300;
-    s.warmup_requests = 30;
+    s.tenants[0].requests = 300;
+    s.tenants[0].warmup_requests = 30;
     const std::vector<dc::BalancePolicy> policies{dc::BalancePolicy::kLeastLoaded,
                                                   dc::BalancePolicy::kGovernorAware};
     const auto results = run_policies(s, policies, ghz(2.0));

@@ -125,19 +125,20 @@ BENCHMARK(BM_SweepParallel)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecon
 /// DVFS trajectory the governor drives.
 void BM_ClosedLoopFleet(benchmark::State& state) {
   dc::Scenario s = dc::Scenario::by_name("webserving-diurnal-ntcboost");
-  s.requests = 60;
-  s.warmup_requests = 8;
+  s.tenants[0].requests = 60;
+  s.tenants[0].warmup_requests = 8;
   if (state.range(0) == 0) s.governor.kind = ctrl::GovernorKind::kNone;
   // Self-profiling rides along (trace and metrics stay disabled): the
   // epoch-barrier and whole-run wall costs land as counters in the
   // archived BENCH JSON, so control-plane overhead is tracked PR over PR.
   obs::Telemetry telemetry;
   telemetry.timers.enable();
+  const dc::RunOptions options{.telemetry = &telemetry, .shards = 1, .threads = 1};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dc::run_scenario(s, ghz(2.0), &telemetry));
+    benchmark::DoNotOptimize(dc::run_scenario(s, ghz(2.0), options));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(s.requests));
+                          static_cast<std::int64_t>(s.tenants[0].requests));
   const auto barriers = telemetry.timers.count("epoch-barrier");
   if (barriers > 0) {
     state.counters["barrier_us_per_epoch"] =
@@ -164,15 +165,15 @@ void BM_ShardedFleet(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   dc::Scenario s = dc::Scenario::by_name("webserving-diurnal-ntcboost");
   s.servers = 16;  // enough chips that every shard carries real work
-  s.requests = 240;
-  s.warmup_requests = 24;
+  s.tenants[0].requests = 240;
+  s.tenants[0].warmup_requests = 24;
   const dc::FleetRunner runner{s.fleet_config(ghz(2.0))};
   const dc::RunOptions options{.shards = threads, .threads = threads};
   for (auto _ : state) {
     benchmark::DoNotOptimize(runner.run(options));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(s.requests));
+                          static_cast<std::int64_t>(s.tenants[0].requests));
   if (threads != 4) return;
   const auto wall = [&](const dc::RunOptions& o, dc::FleetResult& out) {
     const auto t0 = std::chrono::steady_clock::now();

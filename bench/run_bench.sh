@@ -41,12 +41,10 @@ else
   done
 fi
 
-# Stamp the archive with what produced it: the commit and the scheduler
-# wakeup-list mode land in the JSON "context" object, so a diff of two
-# archives can say *which builds* it is comparing (compare_bench.py
-# prints these labels).
+# Stamp the archive with what produced it: the commit lands in the JSON
+# "context" object, so a diff of two archives can say *which builds* it
+# is comparing (compare_bench.py prints these labels).
 git_sha="$(git -C "$(dirname "$0")/.." rev-parse --short HEAD 2>/dev/null || echo unknown)"
-wakeup_mode="${NTSERV_WAKEUP_LIST:-1}"
 # Self-profiling (src/obs phase timers) is on by default: the flag lands
 # in the archive's context, the sweep-point/barrier wall costs surface as
 # per-benchmark counters, and the phase table prints to stderr after the
@@ -58,7 +56,6 @@ NTSERV_THREADS=1 NTSERV_BENCH_PHASE_TIMERS="${phase_timers}" "${bin}" \
   --benchmark_min_time="${NTSERV_BENCH_MIN_TIME:-0.25}" \
   --benchmark_repetitions="${NTSERV_BENCH_REPS:-1}" \
   --benchmark_context=git_sha="${git_sha}" \
-  --benchmark_context=wakeup_list="${wakeup_mode}" \
   --benchmark_context=phase_timers="${phase_timers}" \
   --benchmark_out="${out}" \
   --benchmark_out_format=json

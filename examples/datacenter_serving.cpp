@@ -16,14 +16,15 @@ int main() {
   // 1. Pick a scenario from the catalog (docs/datacenter.md lists all).
   dc::Scenario scenario = dc::Scenario::by_name("websearch-poisson-light");
   // Trim the request budget so the tour runs in seconds.
-  scenario.requests = 150;
-  scenario.warmup_requests = 20;
+  dc::TenantSpec& traffic = scenario.tenants[0];
+  traffic.requests = 150;
+  traffic.warmup_requests = 20;
 
   std::cout << "Scenario: " << scenario.name << " — " << scenario.description << "\n"
-            << "  arrivals: " << to_string(scenario.arrival.kind) << " @ "
-            << scenario.arrival.rate / 1e3 << " kreq/s, "
+            << "  arrivals: " << to_string(traffic.arrival.kind) << " @ "
+            << traffic.arrival.rate / 1e3 << " kreq/s, "
             << scenario.servers << " servers, "
-            << scenario.user_instructions_per_request << " user instructions/request\n\n";
+            << traffic.user_instructions_per_request << " user instructions/request\n\n";
 
   // 2. Run it at two frequencies and watch the measured tail move.
   for (double g : {2.0, 1.0}) {
@@ -36,7 +37,7 @@ int main() {
 
   // 3. Feed the measured tail into the QoS anchor, exactly as the paper
   //    anchors its hardware baseline.
-  const auto target = qos::QosTarget::for_workload(scenario.workload);
+  const auto target = qos::QosTarget::for_workload(scenario.profile.name);
   const auto base = dc::run_scenario(scenario, ghz(2.0));
   const auto low = dc::run_scenario(scenario, ghz(1.0));
   std::cout << "\nMeasured normalized p99 @ 1 GHz: "
@@ -54,8 +55,8 @@ int main() {
                       dc::BalancePolicy::kPowerAware}) {
     dc::Scenario s = dc::Scenario::by_name("mediastreaming-powercap");
     s.policy = policy;
-    s.requests = 150;
-    s.warmup_requests = 20;
+    s.tenants[0].requests = 150;
+    s.tenants[0].warmup_requests = 20;
     const auto r = dc::run_scenario(s, ghz(2.0));
     std::cout << "  " << to_string(policy) << ": p99 " << in_us(r.p99)
               << " us, server active fractions [";
@@ -71,8 +72,8 @@ int main() {
   //    on measured tail pressure — against the unmanaged baseline.
   std::cout << "\nClosed-loop governors on a short diurnal run:\n";
   dc::Scenario diurnal = dc::Scenario::by_name("webserving-diurnal-ntcboost");
-  diurnal.requests = 250;
-  diurnal.warmup_requests = 25;
+  diurnal.tenants[0].requests = 250;
+  diurnal.tenants[0].warmup_requests = 25;
   for (auto kind : {ctrl::GovernorKind::kFixedMax, ctrl::GovernorKind::kNtcBoost}) {
     dc::Scenario s = diurnal;
     s.governor.kind = kind;

@@ -18,7 +18,7 @@ int main() {
   //    paying a real wake latency. Compare against the same day on the
   //    same fleet with the autoscaler off.
   dc::Scenario diurnal = dc::Scenario::by_name("autoscale-diurnal-web");
-  diurnal.requests = 800;  // one diurnal period: enough to park and recover
+  diurnal.tenants[0].requests = 800;  // one diurnal period: enough to park and recover
   dc::Scenario fixed = diurnal;
   fixed.orchestration.autoscaler.enabled = false;
 

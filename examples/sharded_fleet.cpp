@@ -48,25 +48,15 @@ int main(int argc, char** argv) {
   const int threads = argc > 3 ? std::atoi(argv[3])
                                : static_cast<int>(std::thread::hardware_concurrency());
 
-  // A governed diurnal web fleet, described through the builder (the
-  // deprecated single-tenant FleetConfig fields never appear): diurnal
-  // Poisson arrivals, ondemand-style NTC-boost DVFS per chip.
-  dc::Scenario base = dc::Scenario::by_name("webserving-diurnal-ntcboost");
-  dc::ArrivalConfig arrival = base.arrival;
-  arrival.rate *= static_cast<double>(chips) / static_cast<double>(base.servers);
-  const dc::FleetConfig config = dc::FleetConfigBuilder{}
-                                     .profile(workload::WorkloadProfile::for_name(base.workload))
-                                     .frequency(ghz(2.0))
-                                     .shape(chips)
-                                     .policy(base.policy)
-                                     .governor(base.governor)
-                                     .admission(base.admission)
-                                     .arrival(arrival)
-                                     .request_cost(base.user_instructions_per_request)
-                                     .requests(requests, requests / 10)
-                                     .warm(base.warm_instructions)
-                                     .seed(base.seed)
-                                     .build();
+  // A governed diurnal web fleet: the registry's NTC-boost diurnal
+  // scenario scaled out to `chips` chips, its arrival rate scaled with it.
+  const dc::Scenario base = dc::Scenario::by_name("webserving-diurnal-ntcboost");
+  dc::FleetConfig config = base.fleet_config(ghz(2.0));
+  config.servers = chips;
+  dc::TenantSpec& traffic = config.tenants[0];
+  traffic.arrival.rate *= static_cast<double>(chips) / static_cast<double>(base.servers);
+  traffic.requests = requests;
+  traffic.warmup_requests = requests / 10;
   const dc::FleetRunner runner{config};
 
   std::cout << "Sharded fleet execution: " << chips << " chips, " << requests

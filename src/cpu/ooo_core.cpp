@@ -1,8 +1,6 @@
 #include "cpu/ooo_core.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 #include "common/error.hpp"
 
@@ -18,16 +16,6 @@ constexpr std::uint64_t kTagMask = kTagIFetch | kTagStore;
 constexpr auto wake_later = [](const auto& a, const auto& b) { return a.at > b.at; };
 constexpr auto seq_greater = [](std::uint64_t a, std::uint64_t b) { return a > b; };
 }  // namespace
-
-bool default_wakeup_list() {
-  static const bool value = [] {
-    const char* env = std::getenv("NTSERV_WAKEUP_LIST");
-    if (env == nullptr) return true;
-    const std::string_view v{env};
-    return !(v == "0" || v == "false" || v == "off");
-  }();
-  return value;
-}
 
 OooCore::OooCore(CoreParams params, CoreId id, cache::ClusterMemorySystem& memory,
                  UopSource& source)

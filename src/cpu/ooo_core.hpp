@@ -44,11 +44,6 @@ struct FuLatencies {
   Cycle branch = 1;
 };
 
-/// Default for CoreParams::wakeup_list: true unless the environment sets
-/// NTSERV_WAKEUP_LIST to 0/false/off (CI uses this to matrix the whole
-/// test suite over both issue schedulers so the reference path cannot rot).
-[[nodiscard]] bool default_wakeup_list();
-
 struct CoreParams {
   int width = 3;             ///< fetch/dispatch/issue/commit width
   int rob_entries = 128;     ///< the paper's 128-entry instruction window
@@ -72,7 +67,7 @@ struct CoreParams {
   /// cost proportional to instructions issued. false = the reference
   /// polled scan over the waiting ROB region (O(window) per active
   /// cycle). The two are metric-identical (tests/test_perf_kernel.cpp).
-  bool wakeup_list = default_wakeup_list();
+  bool wakeup_list = true;
 };
 
 struct CoreStats {

@@ -33,8 +33,8 @@ enum class BudgetKind {
 
 struct BudgetConfig {
   BudgetKind kind = BudgetKind::kFixed;
-  /// Mean instruction budget. 0 means "inherit the fleet's
-  /// user_instructions_per_request" (resolved by FleetConfig::validate).
+  /// Mean instruction budget. 0 means "inherit the tenant's
+  /// user_instructions_per_request" (dc::TenantSpec::resolved_budget).
   std::uint64_t mean = 0;
   /// Uniform half-width as a fraction of the mean, in [0, 1).
   double spread = 0.5;

@@ -65,17 +65,6 @@ void ResilienceConfig::validate() const {
   }
 }
 
-std::vector<TenantSpec> FleetConfig::resolved_tenants() const {
-  if (!tenants.empty()) return tenants;
-  TenantSpec t;
-  t.arrival = arrival;
-  t.budget = budget;
-  t.user_instructions_per_request = user_instructions_per_request;
-  t.requests = requests;
-  t.warmup_requests = warmup_requests;
-  return {t};
-}
-
 void FleetConfig::validate() const {
   profile.validate();
   NTSERV_EXPECTS(servers > 0, "fleet needs at least one chip");
@@ -83,9 +72,9 @@ void FleetConfig::validate() const {
   NTSERV_EXPECTS(frequency.value() > 0.0, "core frequency must be positive");
   NTSERV_EXPECTS(quantum > 0, "quantum must be positive");
   NTSERV_EXPECTS(pack_depth_per_core > 0.0, "pack depth must be positive");
-  const auto resolved = resolved_tenants();
+  NTSERV_EXPECTS(!tenants.empty(), "fleet needs at least one tenant");
   std::set<std::string> names;
-  for (const auto& t : resolved) {
+  for (const auto& t : tenants) {
     t.validate();
     NTSERV_EXPECTS(names.insert(t.name).second, "tenant names must be unique");
   }
@@ -198,13 +187,12 @@ ClusterFleet::ClusterFleet(FleetConfig config, int build_threads)
           std::make_unique<pm::PowerManager>(ctrl::make_power_manager(config_.governor)));
     }
   }
-  const auto specs = config_.resolved_tenants();
+  const auto& specs = config_.tenants;
   tenants_.reserve(specs.size());
   for (std::size_t t = 0; t < specs.size(); ++t) {
     TenantState state;
     state.spec = specs[t];
-    // Per-tenant streams keyed by tenant index: tenant 0 reproduces the
-    // legacy single-tenant seeds exactly.
+    // Per-tenant streams keyed by tenant index.
     state.arrivals = std::make_unique<ArrivalProcess>(
         specs[t].arrival, derive_seed(config_.seed, 0xA441ull + t));
     state.budgets = std::make_unique<ctrl::BudgetSampler>(
@@ -458,14 +446,19 @@ FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
     total += tenant.total;
     tenant.next_arrival_s = tenant.arrivals->next().value();
   }
+  // Traffic is counted once, per tenant; fleet-wide figures sum the rows.
+  const auto fleet_sum = [this](std::uint64_t TenantState::*counter) {
+    std::uint64_t sum = 0;
+    for (const auto& tenant : tenants_) sum += tenant.*counter;
+    return sum;
+  };
 
   StreamingPercentiles latency;
   RunningStats latency_mean, wait_mean;
   double now_s = 0.0;
   std::uint64_t next_id = 0;  ///< global admission-order sequence
-  std::uint64_t offered = 0, admitted = 0, retry_count = 0, shed = 0;
+  std::uint64_t admitted = 0, retry_count = 0;
   std::uint64_t disposed = 0;  ///< completed + shed + timed-out requests
-  std::uint64_t completed_total = 0, completed_measured = 0;
   bool truncated = false;
   double last_arrival_s = 0.0;
   steered_ = 0;
@@ -525,8 +518,7 @@ FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
   };
   std::priority_queue<HedgeDue, std::vector<HedgeDue>, std::greater<>> hedges;
 
-  std::uint64_t timed_out_count = 0, hedged_count = 0, hedge_wins = 0;
-  std::uint64_t redispatched_count = 0, wasted = 0, good_completions = 0;
+  std::uint64_t hedge_wins = 0, wasted = 0, good_completions = 0;
   std::uint64_t faults_injected = 0;
   int chips_down = 0, chips_degraded = 0;
   std::vector<char> chip_degraded(static_cast<std::size_t>(servers()), 0);
@@ -576,7 +568,6 @@ FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
 
   // ---- Brownout / breaker state (idle when both are off) ----
   ctrl::BrownoutStage stage = ctrl::BrownoutStage::kNormal;
-  std::uint64_t brownout_shed_total = 0;
   int brownout_epochs = 0;
   std::vector<int> stage_epochs(static_cast<std::size_t>(ctrl::kBrownoutStages), 0);
   int breaker_open_epochs = 0;
@@ -837,10 +828,11 @@ FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
         metrics_->set(ids.down, chip.down() ? 1.0 : 0.0);
         if (chip.parked()) ++parked_chips;
       }
-      metrics_->set(fm.offered, static_cast<double>(offered));
-      metrics_->set(fm.completed, static_cast<double>(completed_total));
-      metrics_->set(fm.shed, static_cast<double>(shed));
-      metrics_->set(fm.timed_out, static_cast<double>(timed_out_count));
+      metrics_->set(fm.offered, static_cast<double>(fleet_sum(&TenantState::offered)));
+      metrics_->set(fm.completed,
+                    static_cast<double>(fleet_sum(&TenantState::completed_all)));
+      metrics_->set(fm.shed, static_cast<double>(fleet_sum(&TenantState::shed)));
+      metrics_->set(fm.timed_out, static_cast<double>(fleet_sum(&TenantState::timed_out)));
       metrics_->set(fm.retries, static_cast<double>(retry_count));
       metrics_->set(fm.p50, latency.count() > 0 ? latency.p50() * 1e6 : 0.0);
       metrics_->set(fm.p95, latency.count() > 0 ? latency.p95() * 1e6 : 0.0);
@@ -868,10 +860,8 @@ FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
 
   auto measure_completion = [&](const Request& req, bool damaged) {
     TenantState& tenant = tenants_[static_cast<std::size_t>(req.tenant)];
-    ++completed_total;
     ++tenant.completed_all;
     if (req.tenant_seq >= tenant.spec.warmup_requests) {
-      ++completed_measured;
       if (metrics_ != nullptr) metrics_->observe(fm.latency_hist, req.latency_s() * 1e6);
       latency.add(req.latency_s());
       latency_mean.add(req.latency_s());
@@ -985,9 +975,7 @@ FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
       // brownout attribution so a post-mortem can split deliberate from
       // overload shed.
       TenantState& tenant = tenants_[static_cast<std::size_t>(req.tenant)];
-      ++shed;
       ++tenant.shed;
-      ++brownout_shed_total;
       ++tenant.brownout_shed;
       if (trace_ != nullptr) {
         trace_->emit(obs::EventKind::kBrownoutShed, /*chip=*/-1, event_s, req.tenant,
@@ -1041,7 +1029,6 @@ FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
       retries_.push(RetryEntry{due, req});
       return;
     }
-    ++shed;
     ++tenants_[static_cast<std::size_t>(req.tenant)].shed;
     if (trace_ != nullptr) {
       trace_->emit(obs::EventKind::kShed, /*chip=*/-1, event_s, req.tenant,
@@ -1081,7 +1068,6 @@ FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
     note_admit(server);
     pr.live.push_back({req.copy, server});
     pr.hedged = true;
-    ++hedged_count;
     ++tenants_[static_cast<std::size_t>(req.tenant)].hedged;
     if (trace_ != nullptr) {
       trace_->emit(obs::EventKind::kHedge, server, event_s, req.tenant,
@@ -1119,7 +1105,6 @@ FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
         retries_.push(RetryEntry{due, req});
         continue;
       }
-      ++timed_out_count;
       ++tenants_[static_cast<std::size_t>(pr.proto.tenant)].timed_out;
       if (trace_ != nullptr) {
         trace_->emit(obs::EventKind::kTimeout, /*chip=*/-1, d.due_s, pr.proto.tenant,
@@ -1185,7 +1170,6 @@ FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
               r.server = target;
               chips_[static_cast<std::size_t>(target)]->queue().push_back(r);
               live.push_back({r.copy, target});
-              ++redispatched_count;
               ++tenants_[static_cast<std::size_t>(r.tenant)].redispatched;
               if (trace_ != nullptr) {
                 trace_->emit_now(obs::EventKind::kRedispatch, target, r.tenant,
@@ -1339,7 +1323,6 @@ FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
         req.budget = tenant.budgets->sample(req.tenant_seq);
         last_arrival_s = std::max(last_arrival_s, tenant.next_arrival_s);
         ++tenant.offered;
-        ++offered;
         if (tenant.offered < tenant.total) {
           tenant.next_arrival_s = tenant.arrivals->next().value();
         }
@@ -1414,28 +1397,23 @@ FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
   if (governed_) close_epochs(true);
   if (trace_ != nullptr) trace_->finish();
 
-  // The availability ledger must tile: every offered request is exactly
-  // one of completed, shed, timed out, or still in flight (truncation).
-  NTSERV_ENSURES(offered == completed_total + shed + timed_out_count + pending.size(),
-                 "request accounting does not tile " +
-                     run_context(now_s, epoch_index, disposed, total));
-
   FleetResult r;
   r.workload = config_.profile.name;
   r.frequency = config_.frequency;
-  r.completed = completed_measured;
-  r.offered = offered;
+  r.completed = fleet_sum(&TenantState::completed_measured);
+  r.offered = fleet_sum(&TenantState::offered);
   r.admitted = admitted;
   r.retries = retry_count;
-  r.shed = shed;
-  r.shed_rate = offered > 0 ? static_cast<double>(shed) / static_cast<double>(offered) : 0.0;
+  r.shed = fleet_sum(&TenantState::shed);
+  r.shed_rate =
+      r.offered > 0 ? static_cast<double>(r.shed) / static_cast<double>(r.offered) : 0.0;
   r.steered = steered_;
   r.truncated = truncated;
-  r.completed_all = completed_total;
-  r.timed_out = timed_out_count;
-  r.hedged = hedged_count;
+  r.completed_all = fleet_sum(&TenantState::completed_all);
+  r.timed_out = fleet_sum(&TenantState::timed_out);
+  r.hedged = fleet_sum(&TenantState::hedged);
   r.hedge_wins = hedge_wins;
-  r.redispatched = redispatched_count;
+  r.redispatched = fleet_sum(&TenantState::redispatched);
   r.wasted_completions = wasted;
   r.in_flight = pending.size();
   r.faults_injected = faults_injected;
@@ -1451,7 +1429,7 @@ FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
   r.brownout_enabled = brownout_.has_value();
   r.breakers_enabled = !breakers_.empty();
   r.autoscaled = autoscaler_.has_value();
-  r.brownout_shed = brownout_shed_total;
+  r.brownout_shed = fleet_sum(&TenantState::brownout_shed);
   r.brownout_epochs = brownout_epochs;
   // The time-in-stage attribution is only a measurement when the ladder
   // ran; without it the vector stays empty (see has_brownout_ladder()).
@@ -1463,6 +1441,11 @@ FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
   for (const auto& [id, pr] : pending) {
     ++tenants_[static_cast<std::size_t>(pr.proto.tenant)].in_flight_at_end;
   }
+  // The availability ledger must tile: every offered request is exactly
+  // one of completed, shed, timed out, or still in flight (truncation).
+  NTSERV_ENSURES(r.offered == r.completed_all + r.shed + r.timed_out + r.in_flight,
+                 "request accounting does not tile " +
+                     run_context(now_s, epoch_index, disposed, total));
   r.span_seconds = Second{now_s};
   r.span_cycles = static_cast<Cycle>(std::llround(now_s * base_f));
   if (latency.count() > 0) {
@@ -1473,10 +1456,10 @@ FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
     r.mean_wait = Second{wait_mean.mean()};
   }
   if (last_arrival_s > 0.0) {
-    r.offered_rate = static_cast<double>(offered) / last_arrival_s;
+    r.offered_rate = static_cast<double>(r.offered) / last_arrival_s;
   }
   if (now_s > 0.0) {
-    r.throughput = static_cast<double>(completed_total) / now_s;
+    r.throughput = static_cast<double>(r.completed_all) / now_s;
     r.goodput = static_cast<double>(good_completions) / now_s;
   }
   double busy_core_seconds = 0.0;

@@ -3,159 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/error.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace ntserv::dc {
-
-FleetConfigBuilder& FleetConfigBuilder::profile(workload::WorkloadProfile p) {
-  cfg_.profile = std::move(p);
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::cluster(sim::ClusterConfig c) {
-  cfg_.cluster = c;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::frequency(Hertz f) {
-  cfg_.frequency = f;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::shape(int servers, int clusters_per_chip) {
-  cfg_.servers = servers;
-  cfg_.clusters_per_chip = clusters_per_chip;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::seed(std::uint64_t s) {
-  cfg_.seed = s;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::quantum(Cycle q) {
-  cfg_.quantum = q;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::warm(std::uint64_t instructions,
-                                             Cycle max_cycles) {
-  cfg_.warm_instructions = instructions;
-  if (max_cycles > 0) cfg_.warm_max_cycles = max_cycles;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::max_cycles(Cycle c) {
-  cfg_.max_cycles = c;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::policy(BalancePolicy p) {
-  cfg_.policy = p;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::pack_depth(double per_core) {
-  cfg_.pack_depth_per_core = per_core;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::admission(ctrl::AdmissionConfig a) {
-  cfg_.admission = a;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::governor(ctrl::GovernorConfig g) {
-  cfg_.governor = std::move(g);
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::faults(fault::FaultConfig f) {
-  cfg_.faults = std::move(f);
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::resilience(ResilienceConfig r) {
-  cfg_.resilience = r;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::brownout(ctrl::BrownoutConfig b) {
-  cfg_.brownout = b;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::breaker(ctrl::BreakerConfig b) {
-  cfg_.breaker = b;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::orchestration(orch::OrchestratorConfig o) {
-  cfg_.orchestration = std::move(o);
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::tenant(TenantSpec t) {
-  explicit_tenants_ = true;
-  cfg_.tenants.push_back(std::move(t));
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::arrival(ArrivalConfig a) {
-  single_tenant_touched_ = true;
-  cfg_.arrival = a;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::budget(ctrl::BudgetConfig b) {
-  single_tenant_touched_ = true;
-  cfg_.budget = b;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::request_cost(std::uint64_t user_instructions) {
-  single_tenant_touched_ = true;
-  cfg_.user_instructions_per_request = user_instructions;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::requests(std::uint64_t measured,
-                                                 std::uint64_t warmup) {
-  single_tenant_touched_ = true;
-  cfg_.requests = measured;
-  cfg_.warmup_requests = warmup;
-  return *this;
-}
-
-FleetConfigBuilder& FleetConfigBuilder::qos_p99_limit(Second bound) {
-  single_tenant_touched_ = true;
-  single_qos_ = bound;
-  return *this;
-}
-
-FleetConfig FleetConfigBuilder::build() const {
-  NTSERV_EXPECTS(!(single_tenant_touched_ && (explicit_tenants_ || !cfg_.tenants.empty())),
-                 "describe traffic either with tenant() / a base tenant table or "
-                 "with the single-tenant setters, not both");
-  FleetConfig cfg = cfg_;
-  if (cfg.tenants.empty()) {
-    // Normalize exactly as FleetConfig::resolved_tenants() resolves the
-    // legacy fields, so builder-made configs reproduce legacy-field
-    // configs bit for bit.
-    cfg.tenants = cfg.resolved_tenants();
-    cfg.tenants[0].qos_p99_limit = single_qos_;
-  }
-  // Keep the deprecated legacy fields a consistent mirror of tenant 0:
-  // anything still reading them (back-compat) sees the normalized truth.
-  cfg.arrival = cfg.tenants[0].arrival;
-  cfg.budget = cfg.tenants[0].budget;
-  cfg.user_instructions_per_request = cfg.tenants[0].user_instructions_per_request;
-  cfg.requests = cfg.tenants[0].requests;
-  cfg.warmup_requests = cfg.tenants[0].warmup_requests;
-  cfg.validate();
-  return cfg;
-}
 
 FleetRunner::FleetRunner(FleetConfig config) : config_(std::move(config)) {
   config_.validate();

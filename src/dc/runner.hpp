@@ -1,29 +1,24 @@
-// The redesigned fleet-run API: build a config, plan shards, run.
+// The fleet-run entry point: validate a config, plan shards, run.
 //
-// dc::ClusterFleet grew as an engine — a ~30-field FleetConfig
-// god-struct with legacy single-tenant fields resolved at run time, plus
-// a call-before-run() telemetry side channel. This header fronts it with
-// the composable surface new code should use:
+// A FleetConfig (dc/fleet.hpp) is plain data — fleet shape, control
+// knobs, and the tenant table that describes all traffic — and is built
+// by assigning its fields, or taken from a named dc::Scenario
+// (dc/scenario.hpp), which is a FleetConfig with a name:
 //
-//   FleetConfig cfg = FleetConfigBuilder{}
-//                         .profile(workload::WorkloadProfile::web_search())
-//                         .shape(/*servers=*/64)
-//                         .arrival({.kind = ArrivalKind::kDiurnal, .rate = 4e6})
-//                         .requests(1'000'000, 10'000)
-//                         .build();   // tenant table normalized here
+//   FleetConfig cfg;
+//   cfg.profile = workload::WorkloadProfile::web_search();
+//   cfg.servers = 64;
+//   cfg.tenants[0].arrival = {.kind = ArrivalKind::kDiurnal, .rate = 4e6};
+//   cfg.tenants[0].requests = 1'000'000;
 //   FleetRunner runner{cfg};          // validates once
 //   FleetResult r = runner.run({.telemetry = &t, .shards = 8});
 //
 // FleetRunner::run() constructs a fresh engine per call, so every run is
 // an independent, identically-seeded experiment: sharded and serial
-// execution share this one entry point, and RunOptions carries what used
-// to be set through setters. Results and telemetry are bit-identical for
-// any shards/threads choice (see fleet.hpp's sharded-data-plane
-// contract).
+// execution share this one entry point, and RunOptions carries the
+// telemetry. Results and telemetry are bit-identical for any
+// shards/threads choice (see fleet.hpp's sharded-data-plane contract).
 #pragma once
-
-#include <cstdint>
-#include <vector>
 
 #include "dc/fleet.hpp"
 #include "obs/obs.hpp"
@@ -48,68 +43,6 @@ struct RunOptions {
   /// bounds the parallel chip-construction fan-out. Bit-identical for
   /// any value. Callers already inside a sweep worker should pass 1.
   int threads = 0;
-};
-
-/// Fluent construction of a FleetConfig that normalizes the traffic
-/// description into the tenant table at build(): the single-tenant
-/// convenience setters (arrival/budget/request_cost/requests) become
-/// tenant 0 exactly as FleetConfig::resolved_tenants() would resolve
-/// them, so builder-made configs are bit-identical to legacy-field
-/// configs — with `tenants` always populated and the deprecated legacy
-/// fields kept as a read-only mirror of tenant 0 for back-compat.
-/// Mixing explicit tenant() calls with the single-tenant setters is
-/// rejected at build().
-class FleetConfigBuilder {
- public:
-  FleetConfigBuilder() = default;
-  /// Start from an existing config (e.g. a scenario expansion) and
-  /// override selectively. Legacy single-tenant fields of `base` are
-  /// honored exactly like resolved_tenants() honors them.
-  explicit FleetConfigBuilder(FleetConfig base) : cfg_(std::move(base)) {}
-
-  FleetConfigBuilder& profile(workload::WorkloadProfile p);
-  FleetConfigBuilder& cluster(sim::ClusterConfig c);
-  FleetConfigBuilder& frequency(Hertz f);
-  /// Fleet shape: `servers` chips of `clusters_per_chip` clusters each.
-  FleetConfigBuilder& shape(int servers, int clusters_per_chip = 1);
-  FleetConfigBuilder& seed(std::uint64_t s);
-  FleetConfigBuilder& quantum(Cycle q);
-  /// Cache-warm budget per cluster; max_cycles == 0 keeps the default
-  /// warm cap.
-  FleetConfigBuilder& warm(std::uint64_t instructions, Cycle max_cycles = 0);
-  FleetConfigBuilder& max_cycles(Cycle c);
-  FleetConfigBuilder& policy(BalancePolicy p);
-  FleetConfigBuilder& pack_depth(double per_core);
-  FleetConfigBuilder& admission(ctrl::AdmissionConfig a);
-  FleetConfigBuilder& governor(ctrl::GovernorConfig g);
-  FleetConfigBuilder& faults(fault::FaultConfig f);
-  FleetConfigBuilder& resilience(ResilienceConfig r);
-  FleetConfigBuilder& brownout(ctrl::BrownoutConfig b);
-  FleetConfigBuilder& breaker(ctrl::BreakerConfig b);
-  FleetConfigBuilder& orchestration(orch::OrchestratorConfig o);
-
-  /// Append one explicit tenant (multi-tenant configs).
-  FleetConfigBuilder& tenant(TenantSpec t);
-
-  // Single-tenant conveniences: folded into tenant 0 at build().
-  FleetConfigBuilder& arrival(ArrivalConfig a);
-  FleetConfigBuilder& budget(ctrl::BudgetConfig b);
-  FleetConfigBuilder& request_cost(std::uint64_t user_instructions);
-  FleetConfigBuilder& requests(std::uint64_t measured, std::uint64_t warmup);
-  FleetConfigBuilder& qos_p99_limit(Second bound);
-
-  /// Normalize (tenant table always populated), validate, and return the
-  /// config. Throws ModelError on an invalid config or on mixed
-  /// explicit-tenant / single-tenant traffic description.
-  [[nodiscard]] FleetConfig build() const;
-
- private:
-  FleetConfig cfg_;
-  bool single_tenant_touched_ = false;
-  bool explicit_tenants_ = false;
-  /// qos bound for the normalized single tenant (legacy FleetConfig
-  /// never carried one fleet-wide).
-  Second single_qos_{0.0};
 };
 
 /// One entry point for serial and sharded fleet execution:

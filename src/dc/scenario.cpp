@@ -24,47 +24,18 @@ double rate_for_load(double load, int servers, int cores_per_server,
 }
 
 FleetConfig Scenario::fleet_config(Hertz f) const {
-  // Built through FleetConfigBuilder, so the expansion always carries a
-  // normalized tenant table: single-tenant scenarios land in tenant 0
-  // exactly as the legacy resolved_tenants() path resolved them (the
-  // deprecated mirror fields stay consistent for legacy readers).
-  FleetConfigBuilder b;
-  b.profile(workload::WorkloadProfile::for_name(workload))
-      .frequency(f)
-      .shape(servers, clusters_per_chip)
-      .admission(admission)
-      .governor(governor)
-      .policy(policy)
-      .faults(faults)
-      .resilience(resilience)
-      .orchestration(orchestration)
-      .brownout(brownout)
-      .breaker(breaker)
-      .max_cycles(max_cycles)
-      .warm(warm_instructions)
-      .seed(seed);
-  if (tenants.empty()) {
-    b.arrival(arrival)
-        .budget(budget)
-        .request_cost(user_instructions_per_request)
-        .requests(requests, warmup_requests);
-  } else {
-    for (const auto& t : tenants) b.tenant(t);
-  }
-  return b.build();
+  FleetConfig config = *this;
+  config.frequency = f;
+  return config;
 }
 
 Scenario Scenario::dedicated(std::size_t t) const {
-  NTSERV_EXPECTS(t < tenants.size(), "dedicated() needs a consolidated scenario");
+  NTSERV_EXPECTS(tenants.size() >= 2, "dedicated() needs a consolidated scenario");
+  NTSERV_EXPECTS(t < tenants.size(), "dedicated() names a tenant outside the table");
   Scenario s = *this;
   const TenantSpec& spec = tenants[t];
   s.name = name + "/" + spec.name;
   s.description = "dedicated split of " + name + ": " + spec.name + " alone";
-  s.arrival = spec.arrival;
-  s.budget = spec.budget;
-  s.user_instructions_per_request = spec.user_instructions_per_request;
-  s.requests = spec.requests;
-  s.warmup_requests = spec.warmup_requests;
   // Keep the tenant's identity (name, QoS bound, steering class) so the
   // dedicated run reports the same per-tenant slice as the consolidated
   // one — only the co-tenant is gone.
@@ -83,9 +54,9 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "websearch-poisson-light";
     s.description = "Web Search, Poisson arrivals at ~2.5% load, least-loaded";
-    s.workload = "Web Search";
-    s.arrival.kind = ArrivalKind::kPoisson;
-    s.arrival.rate = rate_for_load(0.025, 2, cores, 8'000);
+    s.profile = workload::WorkloadProfile::web_search();
+    s.tenants[0].arrival.kind = ArrivalKind::kPoisson;
+    s.tenants[0].arrival.rate = rate_for_load(0.025, 2, cores, 8'000);
     s.policy = BalancePolicy::kLeastLoaded;
     s.servers = 2;
     s.seed = 11;
@@ -98,9 +69,9 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "websearch-poisson-heavy";
     s.description = "Web Search, Poisson arrivals at ~55% load, least-loaded";
-    s.workload = "Web Search";
-    s.arrival.kind = ArrivalKind::kPoisson;
-    s.arrival.rate = rate_for_load(0.55, 2, cores, 8'000);
+    s.profile = workload::WorkloadProfile::web_search();
+    s.tenants[0].arrival.kind = ArrivalKind::kPoisson;
+    s.tenants[0].arrival.rate = rate_for_load(0.55, 2, cores, 8'000);
     s.policy = BalancePolicy::kLeastLoaded;
     s.servers = 2;
     s.seed = 12;
@@ -110,9 +81,9 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "dataserving-deterministic";
     s.description = "Data Serving, fixed-spacing arrivals, round-robin";
-    s.workload = "Data Serving";
-    s.arrival.kind = ArrivalKind::kDeterministic;
-    s.arrival.rate = rate_for_load(0.30, 2, cores, 8'000);
+    s.profile = workload::WorkloadProfile::data_serving();
+    s.tenants[0].arrival.kind = ArrivalKind::kDeterministic;
+    s.tenants[0].arrival.rate = rate_for_load(0.30, 2, cores, 8'000);
     s.policy = BalancePolicy::kRoundRobin;
     s.servers = 2;
     s.seed = 13;
@@ -122,12 +93,12 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "dataserving-mmpp-bursty";
     s.description = "Data Serving, MMPP request storms (4x bursts), least-loaded";
-    s.workload = "Data Serving";
-    s.arrival.kind = ArrivalKind::kMmpp;
-    s.arrival.rate = rate_for_load(0.30, 2, cores, 8'000);
-    s.arrival.burst_rate_multiplier = 4.0;
-    s.arrival.burst_fraction = 0.1;
-    s.arrival.burst_dwell = Second{2e-4};
+    s.profile = workload::WorkloadProfile::data_serving();
+    s.tenants[0].arrival.kind = ArrivalKind::kMmpp;
+    s.tenants[0].arrival.rate = rate_for_load(0.30, 2, cores, 8'000);
+    s.tenants[0].arrival.burst_rate_multiplier = 4.0;
+    s.tenants[0].arrival.burst_fraction = 0.1;
+    s.tenants[0].arrival.burst_dwell = Second{2e-4};
     s.policy = BalancePolicy::kLeastLoaded;
     s.servers = 2;
     s.seed = 14;
@@ -137,11 +108,11 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "webserving-diurnal";
     s.description = "Web Serving, sinusoidal day/night load, least-loaded";
-    s.workload = "Web Serving";
-    s.arrival.kind = ArrivalKind::kDiurnal;
-    s.arrival.rate = rate_for_load(0.45, 2, cores, 8'000);
-    s.arrival.diurnal_trough = 0.2;
-    s.arrival.diurnal_period = Second{2e-3};
+    s.profile = workload::WorkloadProfile::web_serving();
+    s.tenants[0].arrival.kind = ArrivalKind::kDiurnal;
+    s.tenants[0].arrival.rate = rate_for_load(0.45, 2, cores, 8'000);
+    s.tenants[0].arrival.diurnal_trough = 0.2;
+    s.tenants[0].arrival.diurnal_period = Second{2e-3};
     s.policy = BalancePolicy::kLeastLoaded;
     s.servers = 2;
     s.seed = 15;
@@ -154,9 +125,9 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "mediastreaming-powercap";
     s.description = "Media Streaming, ~15% load packed power-aware on 4 servers";
-    s.workload = "Media Streaming";
-    s.arrival.kind = ArrivalKind::kPoisson;
-    s.arrival.rate = rate_for_load(0.15, 4, cores, 8'000);
+    s.profile = workload::WorkloadProfile::media_streaming();
+    s.tenants[0].arrival.kind = ArrivalKind::kPoisson;
+    s.tenants[0].arrival.rate = rate_for_load(0.15, 4, cores, 8'000);
     s.policy = BalancePolicy::kPowerAware;
     s.servers = 4;
     s.seed = 16;
@@ -169,10 +140,10 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "vm-bitbrains-lowmem";
     s.description = "VMs low-mem, Bitbrains population demand, power-aware";
-    s.workload = "VMs low-mem";
-    s.arrival.kind = ArrivalKind::kVmPopulation;
-    s.arrival.vm_population = 64;
-    s.arrival.vm_peak_rate =
+    s.profile = workload::WorkloadProfile::vm_banking_low_mem();
+    s.tenants[0].arrival.kind = ArrivalKind::kVmPopulation;
+    s.tenants[0].arrival.vm_population = 64;
+    s.tenants[0].arrival.vm_peak_rate =
         rate_for_load(0.80, 2, cores, 8'000) / 64.0;  // ~14% mean at 0.18 util
     s.policy = BalancePolicy::kPowerAware;
     s.servers = 2;
@@ -183,9 +154,9 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "websearch-roundrobin";
     s.description = "Web Search, Poisson ~30% load, round-robin baseline";
-    s.workload = "Web Search";
-    s.arrival.kind = ArrivalKind::kPoisson;
-    s.arrival.rate = rate_for_load(0.30, 2, cores, 8'000);
+    s.profile = workload::WorkloadProfile::web_search();
+    s.tenants[0].arrival.kind = ArrivalKind::kPoisson;
+    s.tenants[0].arrival.rate = rate_for_load(0.30, 2, cores, 8'000);
     s.policy = BalancePolicy::kRoundRobin;
     s.servers = 2;
     s.seed = 18;
@@ -201,13 +172,13 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "webserving-diurnal-ntcboost";
     s.description = "Web Serving diurnal, NTC-boost governor + admission back-off";
-    s.workload = "Web Serving";
-    s.arrival.kind = ArrivalKind::kDiurnal;
+    s.profile = workload::WorkloadProfile::web_serving();
+    s.tenants[0].arrival.kind = ArrivalKind::kDiurnal;
     // Crest briefly at ~90% of nominal capacity: the pin carries the day,
     // the FBB boost covers the crest, and the trough sleeps.
-    s.arrival.rate = rate_for_load(0.9, 2, cores, 8'000);
-    s.arrival.diurnal_trough = 0.10;
-    s.arrival.diurnal_period = Second{2e-3};
+    s.tenants[0].arrival.rate = rate_for_load(0.9, 2, cores, 8'000);
+    s.tenants[0].arrival.diurnal_trough = 0.10;
+    s.tenants[0].arrival.diurnal_period = Second{2e-3};
     s.policy = BalancePolicy::kLeastLoaded;
     s.servers = 2;
     s.governor.kind = ctrl::GovernorKind::kNtcBoost;
@@ -215,7 +186,7 @@ std::vector<Scenario> Scenario::registry() {
     s.governor.qos_p99_limit = microseconds(60.0);
     s.admission.enabled = true;
     s.admission.max_outstanding_per_core = 6.0;
-    s.requests = 600;
+    s.tenants[0].requests = 600;
     s.seed = 19;
     all.push_back(s);
   }
@@ -225,12 +196,12 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "dataserving-mmpp-ondemand";
     s.description = "Data Serving MMPP bursts, ondemand DVFS governor";
-    s.workload = "Data Serving";
-    s.arrival.kind = ArrivalKind::kMmpp;
-    s.arrival.rate = rate_for_load(0.30, 2, cores, 8'000);
-    s.arrival.burst_rate_multiplier = 4.0;
-    s.arrival.burst_fraction = 0.1;
-    s.arrival.burst_dwell = Second{2e-4};
+    s.profile = workload::WorkloadProfile::data_serving();
+    s.tenants[0].arrival.kind = ArrivalKind::kMmpp;
+    s.tenants[0].arrival.rate = rate_for_load(0.30, 2, cores, 8'000);
+    s.tenants[0].arrival.burst_rate_multiplier = 4.0;
+    s.tenants[0].arrival.burst_fraction = 0.1;
+    s.tenants[0].arrival.burst_dwell = Second{2e-4};
     s.policy = BalancePolicy::kLeastLoaded;
     s.servers = 2;
     s.governor.kind = ctrl::GovernorKind::kOndemandDvfs;
@@ -244,9 +215,9 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "websearch-saturation-admission";
     s.description = "Web Search at ~2.5x capacity, queue-depth admission + back-off";
-    s.workload = "Web Search";
-    s.arrival.kind = ArrivalKind::kPoisson;
-    s.arrival.rate = rate_for_load(2.5, 2, cores, 8'000);
+    s.profile = workload::WorkloadProfile::web_search();
+    s.tenants[0].arrival.kind = ArrivalKind::kPoisson;
+    s.tenants[0].arrival.rate = rate_for_load(2.5, 2, cores, 8'000);
     s.policy = BalancePolicy::kLeastLoaded;
     s.servers = 2;
     s.admission.enabled = true;
@@ -256,7 +227,7 @@ std::vector<Scenario> Scenario::registry() {
     // exhaust their retry budget while the fleet is still saturated,
     // otherwise nothing is ever shed and queues do the clipping.
     s.admission.backoff = microseconds(20.0);
-    s.requests = 300;
+    s.tenants[0].requests = 300;
     s.seed = 23;
     all.push_back(s);
   }
@@ -272,7 +243,7 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "consolidated-antiphase-search";
     s.description = "2x Web Search diurnal in antiphase on one 2-cluster chip, NTC-boost";
-    s.workload = "Web Search";
+    s.profile = workload::WorkloadProfile::web_search();
     s.policy = BalancePolicy::kGovernorAware;
     s.servers = 1;
     s.clusters_per_chip = 2;
@@ -303,7 +274,7 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "consolidated-web-batch";
     s.description = "Web Serving diurnal + batch tenant on two 2-cluster chips, ondemand";
-    s.workload = "Web Serving";
+    s.profile = workload::WorkloadProfile::web_serving();
     s.policy = BalancePolicy::kGovernorAware;
     s.servers = 2;
     s.clusters_per_chip = 2;
@@ -340,7 +311,7 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "diurnal-chipfail";
     s.description = "Web Serving diurnal, 3 chips, one fail-stop crash; failover + hedging";
-    s.workload = "Web Serving";
+    s.profile = workload::WorkloadProfile::web_serving();
     s.policy = BalancePolicy::kLeastLoaded;
     s.servers = 3;
     TenantSpec web;
@@ -372,11 +343,11 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "ntc-guardband-web";
     s.description = "Web Serving diurnal, NTC-boost; detected errors engage the guardband";
-    s.workload = "Web Serving";
-    s.arrival.kind = ArrivalKind::kDiurnal;
-    s.arrival.rate = rate_for_load(0.6, 2, cores, 8'000);
-    s.arrival.diurnal_trough = 0.2;
-    s.arrival.diurnal_period = Second{2e-3};
+    s.profile = workload::WorkloadProfile::web_serving();
+    s.tenants[0].arrival.kind = ArrivalKind::kDiurnal;
+    s.tenants[0].arrival.rate = rate_for_load(0.6, 2, cores, 8'000);
+    s.tenants[0].arrival.diurnal_trough = 0.2;
+    s.tenants[0].arrival.diurnal_period = Second{2e-3};
     s.policy = BalancePolicy::kLeastLoaded;
     s.servers = 2;
     s.governor.kind = ctrl::GovernorKind::kNtcBoost;
@@ -390,7 +361,7 @@ std::vector<Scenario> Scenario::registry() {
         {0.55e-3, 0, fault::FaultKind::kRestore},
         {0.55e-3, 1, fault::FaultKind::kRestore},
     };
-    s.requests = 600;
+    s.tenants[0].requests = 600;
     s.seed = 28;
     all.push_back(s);
   }
@@ -406,11 +377,11 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "autoscale-diurnal-web";
     s.description = "Web Serving diurnal on 4 chips, fixed-max; autoscaler parks the trough";
-    s.workload = "Web Serving";
-    s.arrival.kind = ArrivalKind::kDiurnal;
-    s.arrival.rate = rate_for_load(0.5, 4, cores, 8'000);
-    s.arrival.diurnal_trough = 0.1;
-    s.arrival.diurnal_period = Second{2e-3};
+    s.profile = workload::WorkloadProfile::web_serving();
+    s.tenants[0].arrival.kind = ArrivalKind::kDiurnal;
+    s.tenants[0].arrival.rate = rate_for_load(0.5, 4, cores, 8'000);
+    s.tenants[0].arrival.diurnal_trough = 0.1;
+    s.tenants[0].arrival.diurnal_period = Second{2e-3};
     s.policy = BalancePolicy::kLeastLoaded;
     s.servers = 4;
     s.governor.kind = ctrl::GovernorKind::kFixedMax;
@@ -423,7 +394,7 @@ std::vector<Scenario> Scenario::registry() {
     s.orchestration.autoscaler.wake_latency = microseconds(50.0);
     // Long enough to cover two full diurnal periods (two troughs to
     // park through, two crests to wake for).
-    s.requests = 1600;
+    s.tenants[0].requests = 1600;
     s.seed = 29;
     all.push_back(s);
   }
@@ -436,9 +407,9 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "powercap-web";
     s.description = "Web Search Poisson on 3 chips, ondemand under a binding fleet cap";
-    s.workload = "Web Search";
-    s.arrival.kind = ArrivalKind::kPoisson;
-    s.arrival.rate = rate_for_load(0.45, 3, cores, 8'000);
+    s.profile = workload::WorkloadProfile::web_search();
+    s.tenants[0].arrival.kind = ArrivalKind::kPoisson;
+    s.tenants[0].arrival.rate = rate_for_load(0.45, 3, cores, 8'000);
     s.policy = BalancePolicy::kLeastLoaded;
     s.servers = 3;
     s.governor.kind = ctrl::GovernorKind::kOndemandDvfs;
@@ -453,7 +424,7 @@ std::vector<Scenario> Scenario::registry() {
       s.orchestration.cap.fleet_cap =
           Watt{2.2 * manager.active_power(Hertz{2e9}).value()};
     }
-    s.requests = 600;
+    s.tenants[0].requests = 600;
     s.seed = 30;
     all.push_back(s);
   }
@@ -466,7 +437,7 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "multifleet-ntc-conv";
     s.description = "Diurnal web + batch routed across an NTC group and a bulk28 group";
-    s.workload = "Web Serving";
+    s.profile = workload::WorkloadProfile::web_serving();
     s.policy = BalancePolicy::kLeastLoaded;  // superseded by the router
     s.servers = 4;
     s.governor.kind = ctrl::GovernorKind::kOndemandDvfs;
@@ -523,7 +494,7 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "rack-loss-web";
     s.description = "Web diurnal + batch on 6 chips in 2 racks; rack0 dies at the peak";
-    s.workload = "Web Serving";
+    s.profile = workload::WorkloadProfile::web_serving();
     s.policy = BalancePolicy::kLeastLoaded;
     s.servers = 6;
     s.governor.kind = ctrl::GovernorKind::kFixedMax;
@@ -595,7 +566,7 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "thermal-emergency-mixed";
     s.description = "Routed NTC+conv fleet under a cap; thermal emergency caps the NTC rack";
-    s.workload = "Web Serving";
+    s.profile = workload::WorkloadProfile::web_serving();
     s.policy = BalancePolicy::kLeastLoaded;  // superseded by the router
     s.servers = 4;
     s.governor.kind = ctrl::GovernorKind::kOndemandDvfs;
@@ -677,13 +648,13 @@ std::vector<Scenario> Scenario::registry() {
     Scenario s;
     s.name = "dataserving-lognormal-budget";
     s.description = "Data Serving, lognormal instruction budgets (sigma 0.7)";
-    s.workload = "Data Serving";
-    s.arrival.kind = ArrivalKind::kPoisson;
-    s.arrival.rate = rate_for_load(0.30, 2, cores, 8'000);
+    s.profile = workload::WorkloadProfile::data_serving();
+    s.tenants[0].arrival.kind = ArrivalKind::kPoisson;
+    s.tenants[0].arrival.rate = rate_for_load(0.30, 2, cores, 8'000);
     s.policy = BalancePolicy::kLeastLoaded;
     s.servers = 2;
-    s.budget.kind = ctrl::BudgetKind::kLognormal;
-    s.budget.sigma = 0.7;
+    s.tenants[0].budget.kind = ctrl::BudgetKind::kLognormal;
+    s.tenants[0].budget.sigma = 0.7;
     s.seed = 24;
     all.push_back(s);
   }
@@ -701,36 +672,18 @@ FleetResult run_scenario(const Scenario& scenario, Hertz f, const RunOptions& op
   return FleetRunner{scenario.fleet_config(f)}.run(options);
 }
 
-FleetResult run_scenario(const Scenario& scenario, Hertz f) {
-  // Serial grain by default: scenario runs usually ride inside a
-  // sweep-level fan-out (run_scenarios, dse::sweep_*) that already owns
-  // the cores. Callers wanting the sharded data plane pass RunOptions.
-  return run_scenario(scenario, f, RunOptions{.shards = 1, .threads = 1});
-}
-
-FleetResult run_scenario(const Scenario& scenario, Hertz f, obs::Telemetry* telemetry) {
-  return run_scenario(scenario, f,
-                      RunOptions{.telemetry = telemetry, .shards = 1, .threads = 1});
-}
-
 obs::TraceMeta trace_meta(const Scenario& scenario) {
-  // Expand at the default frequency purely for the resolved shape: chip
-  // count, cores per chip and the tenant table are frequency-independent.
-  const FleetConfig fc = scenario.fleet_config(Hertz{2e9});
   obs::TraceMeta meta;
   meta.name = scenario.name;
-  meta.chips = fc.servers;
-  meta.cores_per_chip = fc.clusters_per_chip * fc.cluster.hierarchy.cores;
-  for (const auto& t : fc.resolved_tenants()) meta.tenants.push_back(t.name);
+  meta.chips = scenario.servers;
+  meta.cores_per_chip = scenario.clusters_per_chip * scenario.cluster.hierarchy.cores;
+  for (const auto& t : scenario.tenants) meta.tenants.push_back(t.name);
   return meta;
-}
-
-std::vector<FleetResult> run_scenarios(const std::vector<Scenario>& scenarios, Hertz f) {
-  return run_scenarios(scenarios, f, sim::ThreadPool::default_threads());
 }
 
 std::vector<FleetResult> run_scenarios(const std::vector<Scenario>& scenarios, Hertz f,
                                        int threads) {
+  if (threads <= 0) threads = sim::ThreadPool::default_threads();
   std::vector<FleetResult> results(scenarios.size());
   sim::parallel_for_index(threads, scenarios.size(), [&](std::size_t i) {
     results[i] = run_scenario(scenarios[i], f);

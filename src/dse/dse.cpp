@@ -150,7 +150,7 @@ MeasuredQosSweep sweep_measured_qos(const dc::Scenario& scenario,
   NTSERV_EXPECTS(!grid.empty(), "measured sweep needs at least one grid point");
   MeasuredQosSweep sweep;
   sweep.scenario = scenario.name;
-  sweep.workload = scenario.workload;
+  sweep.workload = scenario.profile.name;
 
   std::vector<dc::FleetResult> fleet(grid.size());
   sim::parallel_for_index(threads, grid.size(), [&](std::size_t i) {
@@ -204,7 +204,7 @@ GovernorSweep sweep_governors(const dc::Scenario& scenario,
   NTSERV_EXPECTS(!kinds.empty(), "governor sweep needs at least one kind");
   GovernorSweep sweep;
   sweep.scenario = scenario.name;
-  sweep.workload = scenario.workload;
+  sweep.workload = scenario.profile.name;
   sweep.points.resize(kinds.size());
   sim::parallel_for_index(threads, kinds.size(), [&](std::size_t i) {
     obs::PhaseTimers::Scope sweep_scope(g_phase_timers, "sweep-point");
@@ -312,7 +312,7 @@ ConsolidationSweep sweep_consolidation(const dc::Scenario& scenario,
                                        const std::vector<int>& chip_counts, Hertz f,
                                        int threads) {
   NTSERV_EXPECTS(!chip_counts.empty(), "consolidation sweep needs chip counts");
-  NTSERV_EXPECTS(!scenario.tenants.empty(),
+  NTSERV_EXPECTS(scenario.tenants.size() >= 2,
                  "consolidation sweep needs a multi-tenant scenario");
   ConsolidationSweep sweep;
   sweep.scenario = scenario.name;
@@ -467,7 +467,7 @@ FaultSweep sweep_faults(const dc::Scenario& scenario,
                  "fault sweep needs a scenario with a fault schedule");
   FaultSweep sweep;
   sweep.scenario = scenario.name;
-  sweep.workload = scenario.workload;
+  sweep.workload = scenario.profile.name;
   sweep.points.resize(arms.size());
 
   // Task 0 is the healthy reference (faults stripped, first arm's
@@ -521,7 +521,7 @@ FaultSweep sweep_faults(const dc::Scenario& scenario,
                  "fault sweep needs a scenario with a fault schedule");
   FaultSweep sweep;
   sweep.scenario = scenario.name;
-  sweep.workload = scenario.workload;
+  sweep.workload = scenario.profile.name;
   sweep.points.resize(arms.size());
 
   const auto apply_arm = [](dc::Scenario& s, const BrownoutArm& arm) {

@@ -278,9 +278,9 @@ class PhaseTimers {
   std::vector<Bucket> buckets_;  ///< insertion order (deterministic report)
 };
 
-/// The bundle a caller attaches to a fleet run (dc::ClusterFleet::
-/// set_telemetry, dc::run_scenario overload). Components are engaged
-/// individually via enable(); a default-constructed bundle is inert.
+/// The bundle a caller attaches to a fleet run (dc::RunOptions::telemetry,
+/// passed to dc::FleetRunner::run or dc::run_scenario). Components are
+/// engaged individually via enable(); a default-constructed bundle is inert.
 struct Telemetry {
   TraceSink trace;
   MetricsRegistry metrics;

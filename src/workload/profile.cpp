@@ -171,14 +171,4 @@ std::vector<WorkloadProfile> WorkloadProfile::vm_suite() {
   return {vm_banking_low_mem(), vm_banking_high_mem()};
 }
 
-WorkloadProfile WorkloadProfile::for_name(const std::string& name) {
-  for (auto& p : scale_out_suite()) {
-    if (p.name == name) return p;
-  }
-  for (auto& p : vm_suite()) {
-    if (p.name == name) return p;
-  }
-  throw ModelError("no workload profile named: " + name);
-}
-
 }  // namespace ntserv::workload

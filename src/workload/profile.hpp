@@ -114,11 +114,6 @@ struct WorkloadProfile {
   static std::vector<WorkloadProfile> scale_out_suite();
   /// Both VM profiles in the paper's figure order.
   static std::vector<WorkloadProfile> vm_suite();
-
-  /// Look up any suite profile by its `name`; throws ModelError if unknown.
-  /// The dc scenario registry references workloads by name so scenarios
-  /// stay plain data.
-  static WorkloadProfile for_name(const std::string& name);
 };
 
 }  // namespace ntserv::workload

@@ -353,12 +353,6 @@ TEST(CoreWakeup, RedirectKeepsQueuedWakeEventsDraining) {
       10000);
 }
 
-TEST(CoreWakeup, DefaultFollowsEnvironmentOverride) {
-  // The CI matrix flips the whole suite through NTSERV_WAKEUP_LIST; the
-  // default must be stable within a process (cached once).
-  EXPECT_EQ(default_wakeup_list(), CoreParams{}.wakeup_list);
-}
-
 TEST(Core, ResetStatsClearsCounters) {
   CoreRig rig{alu_op};
   rig.run(1000);

@@ -57,8 +57,8 @@ TEST(Admission, ValidationRejectsBadConfigs) {
 /// would previously only be survivable via the truncation cycle cap.
 dc::Scenario saturated_scenario() {
   dc::Scenario s = dc::Scenario::by_name("websearch-saturation-admission");
-  s.requests = 150;
-  s.warmup_requests = 15;
+  s.tenants[0].requests = 150;
+  s.tenants[0].warmup_requests = 15;
   return s;
 }
 

@@ -143,8 +143,8 @@ TEST(Governor, ValidationRejectsBadConfigs) {
 /// Trimmed diurnal closed-loop scenario for the behavioural checks.
 dc::Scenario small_diurnal() {
   dc::Scenario s = dc::Scenario::by_name("webserving-diurnal-ntcboost");
-  s.requests = 250;
-  s.warmup_requests = 25;
+  s.tenants[0].requests = 250;
+  s.tenants[0].warmup_requests = 25;
   return s;
 }
 

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "dc/fleet.hpp"
-#include "dc/runner.hpp"
 #include "dc/scenario.hpp"
 #include "workload/profile.hpp"
 
@@ -15,18 +14,22 @@ ArrivalConfig poisson(double rate) {
   return a;
 }
 
-/// Small, fast multi-cluster chip fleet shared by the behavioural tests;
-/// tests override the shape and traffic through the builder.
-FleetConfigBuilder chip_builder() {
-  return FleetConfigBuilder{}
-      .profile(workload::WorkloadProfile::web_search())
-      .frequency(ghz(2.0))
-      .shape(/*servers=*/2, /*clusters_per_chip=*/2)
-      .request_cost(3'000)
-      .arrival(poisson(200'000.0))
-      .requests(120, 12)
-      .warm(60'000)
-      .seed(5);
+/// Small, fast `servers` x `clusters_per_chip` fleet shared by the
+/// behavioural tests: Poisson traffic in the default tenant.
+FleetConfig chip_config(int servers, int clusters_per_chip, double rate = 200'000.0) {
+  FleetConfig cfg;
+  cfg.profile = workload::WorkloadProfile::web_search();
+  cfg.frequency = ghz(2.0);
+  cfg.servers = servers;
+  cfg.clusters_per_chip = clusters_per_chip;
+  cfg.warm_instructions = 60'000;
+  cfg.seed = 5;
+  TenantSpec& t = cfg.tenants[0];
+  t.user_instructions_per_request = 3'000;
+  t.arrival = poisson(rate);
+  t.requests = 120;
+  t.warmup_requests = 12;
+  return cfg;
 }
 
 /// Trimmed two-tenant consolidated scenario (fast warm) used by the
@@ -34,7 +37,7 @@ FleetConfigBuilder chip_builder() {
 Scenario tiny_consolidated() {
   Scenario s;
   s.name = "tiny-consolidated";
-  s.workload = "Web Search";
+  s.profile = workload::WorkloadProfile::web_search();
   s.servers = 2;
   s.clusters_per_chip = 2;
   s.policy = BalancePolicy::kGovernorAware;
@@ -69,11 +72,11 @@ Scenario tiny_consolidated() {
 TEST(Chip, MultiClusterChipUsesAllItsClusters) {
   // A 2-cluster chip exposes 8 core slots behind one queue: under enough
   // load both clusters serve, and the fleet completes every request.
-  const auto cfg = chip_builder().shape(1, 2).arrival(poisson(400'000.0)).build();
+  const auto cfg = chip_config(1, 2, 400'000.0);
   ClusterFleet fleet{cfg};
   EXPECT_EQ(fleet.cores_per_server(), 2 * cfg.cluster.hierarchy.cores);
   const FleetResult r = fleet.run();
-  EXPECT_EQ(r.completed, cfg.requests);
+  EXPECT_EQ(r.completed, cfg.tenants[0].requests);
   EXPECT_FALSE(r.truncated);
   ASSERT_EQ(r.server_active_fraction.size(), 1u);
   EXPECT_GT(r.server_active_fraction[0], 0.0);
@@ -89,8 +92,8 @@ TEST(Chip, FlatAndChipGroupingsExposeTheSameCapacity) {
   // both shapes must complete the same offered load untruncated (the
   // dispatch granularity differs — chips share one queue — so tails are
   // close but not identical).
-  const FleetResult rf = ClusterFleet{chip_builder().shape(2, 1).build()}.run();
-  const FleetResult rc = ClusterFleet{chip_builder().shape(1, 2).build()}.run();
+  const FleetResult rf = ClusterFleet{chip_config(2, 1)}.run();
+  const FleetResult rc = ClusterFleet{chip_config(1, 2)}.run();
   EXPECT_EQ(rf.completed, rc.completed);
   EXPECT_FALSE(rf.truncated);
   EXPECT_FALSE(rc.truncated);
@@ -185,20 +188,21 @@ TEST(Chip, GovernorAwareSteersUnderForcedDescent) {
   // (b) end no worse than least-loaded on non-transition QoS violations.
   Scenario s;
   s.name = "forced-descent";
-  s.workload = "Web Search";
+  s.profile = workload::WorkloadProfile::web_search();
   s.servers = 2;
   s.clusters_per_chip = 1;
   s.governor.kind = ctrl::GovernorKind::kOndemandDvfs;
   s.governor.epoch_quanta = 512;
   s.governor.qos_p99_limit = microseconds(80.0);
-  s.arrival.kind = ArrivalKind::kMmpp;
-  s.arrival.rate = 150'000.0;
-  s.arrival.burst_rate_multiplier = 4.0;
-  s.arrival.burst_fraction = 0.15;
-  s.arrival.burst_dwell = Second{1e-4};
-  s.user_instructions_per_request = 3'000;
-  s.requests = 250;
-  s.warmup_requests = 25;
+  TenantSpec& t = s.tenants[0];
+  t.arrival.kind = ArrivalKind::kMmpp;
+  t.arrival.rate = 150'000.0;
+  t.arrival.burst_rate_multiplier = 4.0;
+  t.arrival.burst_fraction = 0.15;
+  t.arrival.burst_dwell = Second{1e-4};
+  t.user_instructions_per_request = 3'000;
+  t.requests = 250;
+  t.warmup_requests = 25;
   s.warm_instructions = 60'000;
   s.seed = 33;
 

@@ -27,7 +27,7 @@ TEST(Consolidation, DedicatedSplitExtractsOneTenant) {
   EXPECT_EQ(day.clusters_per_chip, s.clusters_per_chip);
   EXPECT_NO_THROW(day.fleet_config(ghz(2.0)).validate());
   EXPECT_THROW((void)s.dedicated(2), ModelError);
-  // A single-tenant scenario has no table to split.
+  // A single-tenant table has nothing to split.
   EXPECT_THROW((void)Scenario::by_name("websearch-poisson-light").dedicated(0),
                ModelError);
 }

@@ -7,26 +7,29 @@
 namespace ntserv::dc {
 namespace {
 
-/// Small, fast fleet builder shared by the behavioural tests: two chips,
-/// light Poisson traffic. Tests override traffic through the builder
-/// (the config's tenant table is normalized at build(), so post-build
-/// mutation of the deprecated legacy fields would be ignored).
-FleetConfigBuilder small_builder() {
-  ArrivalConfig arrival;
-  arrival.kind = ArrivalKind::kPoisson;
-  arrival.rate = 20'000.0;
-  return FleetConfigBuilder{}
-      .profile(workload::WorkloadProfile::web_search())
-      .frequency(ghz(2.0))
-      .shape(/*servers=*/2)
-      .request_cost(3'000)
-      .arrival(arrival)
-      .requests(80, 10)
-      .warm(60'000)
-      .seed(3);
+ArrivalConfig poisson(double rate) {
+  ArrivalConfig a;
+  a.kind = ArrivalKind::kPoisson;
+  a.rate = rate;
+  return a;
 }
 
-FleetConfig small_config() { return small_builder().build(); }
+/// Small, fast fleet shared by the behavioural tests: two chips, light
+/// Poisson traffic in the default tenant.
+FleetConfig small_config() {
+  FleetConfig cfg;
+  cfg.profile = workload::WorkloadProfile::web_search();
+  cfg.frequency = ghz(2.0);
+  cfg.servers = 2;
+  cfg.warm_instructions = 60'000;
+  cfg.seed = 3;
+  TenantSpec& t = cfg.tenants[0];
+  t.user_instructions_per_request = 3'000;
+  t.arrival = poisson(20'000.0);
+  t.requests = 80;
+  t.warmup_requests = 10;
+  return cfg;
+}
 
 TEST(Fleet, CompletesEveryMeasuredRequest) {
   const FleetRunner runner{small_config()};
@@ -46,54 +49,14 @@ TEST(Fleet, CompletesEveryMeasuredRequest) {
   EXPECT_GT(r.offered_rate, 0.0);
 }
 
-TEST(Fleet, BuilderNormalizesIntoTheTenantTable) {
-  const FleetConfig cfg = small_config();
-  // build() populated tenant 0 from the single-tenant setters and keeps
-  // the deprecated legacy fields as a consistent mirror.
-  ASSERT_EQ(cfg.tenants.size(), 1u);
-  EXPECT_EQ(cfg.tenants[0].requests, 80u);
-  EXPECT_EQ(cfg.tenants[0].warmup_requests, 10u);
-  EXPECT_EQ(cfg.tenants[0].user_instructions_per_request, 3'000u);
-  EXPECT_EQ(cfg.tenants[0].arrival.kind, ArrivalKind::kPoisson);
-  EXPECT_EQ(cfg.requests, cfg.tenants[0].requests);
-  EXPECT_EQ(cfg.user_instructions_per_request,
-            cfg.tenants[0].user_instructions_per_request);
-}
-
-TEST(Fleet, BuilderReproducesLegacyFieldConfigsBitForBit) {
-  // The deprecated construction path: legacy single-tenant fields set
-  // directly, resolved by resolved_tenants() inside the engine. The
-  // builder must normalize to the exact same run.
-  FleetConfig legacy;
-  legacy.profile = workload::WorkloadProfile::web_search();
-  legacy.frequency = ghz(2.0);
-  legacy.servers = 2;
-  legacy.user_instructions_per_request = 3'000;
-  legacy.arrival.kind = ArrivalKind::kPoisson;
-  legacy.arrival.rate = 20'000.0;
-  legacy.requests = 80;
-  legacy.warmup_requests = 10;
-  legacy.warm_instructions = 60'000;
-  legacy.seed = 3;
-  const FleetResult a = ClusterFleet{legacy}.run();
-  const FleetResult b = FleetRunner{small_config()}.run();
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.admitted, b.admitted);
-  EXPECT_EQ(a.span_cycles, b.span_cycles);
-  EXPECT_EQ(a.p99.value(), b.p99.value());
-  EXPECT_EQ(a.mean_latency.value(), b.mean_latency.value());
-}
-
-TEST(Fleet, BuilderRejectsMixedTrafficDescriptions) {
-  TenantSpec t;
-  t.name = "web";
-  t.arrival.kind = ArrivalKind::kPoisson;
-  t.arrival.rate = 1'000.0;
-  EXPECT_THROW((void)FleetConfigBuilder{}
-                   .tenant(t)
-                   .requests(80, 10)  // single-tenant setter: conflict
-                   .build(),
-               ModelError);
+TEST(Fleet, DefaultConfigRunsOneDefaultTenant) {
+  // The traffic lives only in the tenant table; a default config carries
+  // one default tenant, reported under its name.
+  ASSERT_EQ(FleetConfig{}.tenants.size(), 1u);
+  const FleetResult r = FleetRunner{small_config()}.run();
+  ASSERT_EQ(r.tenants.size(), 1u);
+  EXPECT_EQ(r.tenants[0].name, "default");
+  EXPECT_EQ(r.tenants[0].completed, r.completed);
 }
 
 TEST(Fleet, RunsAreDeterministic) {
@@ -109,37 +72,34 @@ TEST(Fleet, RunsAreDeterministic) {
 }
 
 TEST(Fleet, SeedChangesTheMeasurement) {
+  auto reseeded = small_config();
+  reseeded.seed = 4;
   ClusterFleet a{small_config()};
-  ClusterFleet b{small_builder().seed(4).build()};
+  ClusterFleet b{reseeded};
   EXPECT_NE(a.run().p99.value(), b.run().p99.value());
 }
 
 TEST(Fleet, PowerAwarePacksAndRoundRobinSpreads) {
-  ArrivalConfig light;
-  light.kind = ArrivalKind::kPoisson;
-  light.rate = 8'000.0;  // light: one server can absorb it
-  auto builder = small_builder().shape(3).arrival(light);
+  auto cfg = small_config();
+  cfg.servers = 3;
+  cfg.tenants[0].arrival = poisson(8'000.0);  // light: one server can absorb it
 
-  const FleetResult packed =
-      ClusterFleet{builder.policy(BalancePolicy::kPowerAware).build()}.run();
+  cfg.policy = BalancePolicy::kPowerAware;
+  const FleetResult packed = ClusterFleet{cfg}.run();
   // Packing leaves the last server cold so it could sleep.
   EXPECT_GT(packed.server_active_fraction[0], 0.0);
   EXPECT_EQ(packed.server_active_fraction[2], 0.0);
 
-  const FleetResult spread =
-      ClusterFleet{builder.policy(BalancePolicy::kRoundRobin).build()}.run();
+  cfg.policy = BalancePolicy::kRoundRobin;
+  const FleetResult spread = ClusterFleet{cfg}.run();
   for (double a : spread.server_active_fraction) EXPECT_GT(a, 0.0);
 }
 
 TEST(Fleet, SaturatedFleetTruncatesAtTheCycleCap) {
-  ArrivalConfig flood;
-  flood.kind = ArrivalKind::kPoisson;
-  flood.rate = 5e6;  // far beyond service capacity
-  const FleetConfig cfg = small_builder()
-                              .arrival(flood)
-                              .requests(4'000, 10)
-                              .max_cycles(200'000)
-                              .build();
+  auto cfg = small_config();
+  cfg.tenants[0].arrival = poisson(5e6);  // far beyond service capacity
+  cfg.tenants[0].requests = 4'000;
+  cfg.max_cycles = 200'000;
   const FleetResult r = ClusterFleet{cfg}.run();
   EXPECT_TRUE(r.truncated);
   EXPECT_LT(r.completed, 4'000u);
@@ -147,27 +107,22 @@ TEST(Fleet, SaturatedFleetTruncatesAtTheCycleCap) {
 }
 
 TEST(Fleet, QueueingInflatesTheTail) {
-  ArrivalConfig arrival;
-  arrival.kind = ArrivalKind::kPoisson;
-  arrival.rate = 5'000.0;
-  auto builder = small_builder().requests(120, 10);
-  const FleetResult light = ClusterFleet{builder.arrival(arrival).build()}.run();
-  arrival.rate = 2'000'000.0;  // ~70% of the fleet's service capacity
-  const FleetResult heavy = ClusterFleet{builder.arrival(arrival).build()}.run();
+  auto cfg = small_config();
+  cfg.tenants[0].requests = 120;
+  cfg.tenants[0].arrival = poisson(5'000.0);
+  const FleetResult light = ClusterFleet{cfg}.run();
+  cfg.tenants[0].arrival = poisson(2'000'000.0);  // ~70% of the fleet's service capacity
+  const FleetResult heavy = ClusterFleet{cfg}.run();
   EXPECT_GT(heavy.mean_wait.value(), light.mean_wait.value());
   EXPECT_GT(heavy.p99.value(), light.p99.value());
 }
 
 TEST(Fleet, EnergyAccountsIdleServersAtSleepPower) {
-  ArrivalConfig light;
-  light.kind = ArrivalKind::kPoisson;
-  light.rate = 8'000.0;
-  const FleetResult r = ClusterFleet{small_builder()
-                                         .shape(3)
-                                         .arrival(light)
-                                         .policy(BalancePolicy::kPowerAware)
-                                         .build()}
-                            .run();
+  auto cfg = small_config();
+  cfg.servers = 3;
+  cfg.tenants[0].arrival = poisson(8'000.0);
+  cfg.policy = BalancePolicy::kPowerAware;
+  const FleetResult r = ClusterFleet{cfg}.run();
 
   const power::ServerPowerModel platform{
       tech::TechnologyModel{tech::TechnologyParams::fdsoi28()}, power::ChipConfig{}};
@@ -189,8 +144,15 @@ TEST(Fleet, ValidationRejectsBadConfigs) {
   auto cfg = small_config();
   cfg.servers = 0;
   EXPECT_THROW(cfg.validate(), ModelError);
-  EXPECT_THROW((void)small_builder().requests(0, 10).build(), ModelError);
-  EXPECT_THROW((void)small_builder().request_cost(0).build(), ModelError);
+  cfg = small_config();
+  cfg.tenants.clear();  // no traffic description at all
+  EXPECT_THROW(cfg.validate(), ModelError);
+  cfg = small_config();
+  cfg.tenants[0].requests = 0;
+  EXPECT_THROW(cfg.validate(), ModelError);
+  cfg = small_config();
+  cfg.tenants[0].user_instructions_per_request = 0;
+  EXPECT_THROW(cfg.validate(), ModelError);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "dc/runner.hpp"
 #include "dc/scenario.hpp"
 #include "workload/profile.hpp"
 
@@ -15,23 +14,30 @@ ArrivalConfig poisson(double rate) {
   return a;
 }
 
-/// Small, fast two-chip fleet shared by the behavioural tests. Traffic
-/// overrides go through the builder (post-build mutation of the
-/// deprecated legacy traffic fields would be ignored); fault and
-/// resilience knobs may still be set on the built config.
-FleetConfigBuilder small_builder() {
-  return FleetConfigBuilder{}
-      .profile(workload::WorkloadProfile::web_search())
-      .frequency(ghz(2.0))
-      .shape(/*servers=*/2)
-      .request_cost(3'000)
-      .arrival(poisson(20'000.0))
-      .requests(80, 10)
-      .warm(60'000)
-      .seed(3);
+/// Small, fast two-chip fleet shared by the behavioural tests: light
+/// Poisson traffic in the default tenant.
+FleetConfig small_config() {
+  FleetConfig cfg;
+  cfg.profile = workload::WorkloadProfile::web_search();
+  cfg.frequency = ghz(2.0);
+  cfg.servers = 2;
+  cfg.warm_instructions = 60'000;
+  cfg.seed = 3;
+  TenantSpec& t = cfg.tenants[0];
+  t.user_instructions_per_request = 3'000;
+  t.arrival = poisson(20'000.0);
+  t.requests = 80;
+  t.warmup_requests = 10;
+  return cfg;
 }
 
-FleetConfig small_config() { return small_builder().build(); }
+/// small_config() on one chip at `rate` requests/s.
+FleetConfig one_chip(double rate) {
+  FleetConfig cfg = small_config();
+  cfg.servers = 1;
+  cfg.tenants[0].arrival = poisson(rate);
+  return cfg;
+}
 
 void expect_tiling(const FleetResult& r) {
   EXPECT_EQ(r.offered, r.completed_all + r.shed + r.timed_out + r.in_flight);
@@ -129,7 +135,9 @@ TEST(Resilience, FailoverSurvivesAnUnrecoveredCrash) {
 }
 
 TEST(Resilience, TimeoutsExhaustTheRetryBudgetOnADarkFleet) {
-  auto cfg = small_builder().shape(1).arrival(poisson(10'000.0)).requests(30, 5).build();
+  auto cfg = one_chip(10'000.0);
+  cfg.tenants[0].requests = 30;
+  cfg.tenants[0].warmup_requests = 5;
   cfg.faults.events = {{0.5e-3, 0, fault::FaultKind::kCrash}};  // forever
   cfg.resilience.timeout = Second{50e-6};
   const FleetResult r = ClusterFleet{cfg}.run();
@@ -144,7 +152,8 @@ TEST(Resilience, TimeoutsExhaustTheRetryBudgetOnADarkFleet) {
 
 TEST(Resilience, HedgingDuplicatesSlowRequestsAndFirstCompletionWins) {
   // 60 krps: enough queueing for hedges to fire.
-  auto cfg = small_builder().arrival(poisson(60'000.0)).build();
+  auto cfg = small_config();
+  cfg.tenants[0].arrival = poisson(60'000.0);
   cfg.resilience.hedging = true;
   cfg.resilience.hedge_min_delay = Second{5e-6};
   cfg.resilience.hedge_warmup = 1'000'000;  // pin the delay at hedge_min_delay
@@ -161,7 +170,7 @@ TEST(Resilience, HedgingDuplicatesSlowRequestsAndFirstCompletionWins) {
 }
 
 TEST(Resilience, DegradationFrequencyCapSlowsTheFleet) {
-  auto cfg = small_builder().shape(1).arrival(poisson(10'000.0)).build();
+  auto cfg = one_chip(10'000.0);
   const FleetResult healthy = ClusterFleet{cfg}.run();
   // Deep whole-run cap (0.15 of nominal -> 0.3 GHz). The slowdown is
   // sub-linear in frequency — web search is memory-bound, which is the
@@ -199,13 +208,16 @@ TEST(Resilience, GuardbandChargesEnergyAndRecoversToThePin) {
 
 TEST(Resilience, FaultedRunsAreDeterministicAcrossThreadCounts) {
   Scenario s = Scenario::by_name("diurnal-chipfail");
-  s.requests = 300;  // span still covers the scripted crash window
-  s.warmup_requests = 20;
+  s.tenants[0].requests = 300;  // span still covers the scripted crash window
+  s.tenants[0].warmup_requests = 20;
   std::vector<Scenario> batch{s, s};
   const auto one = run_scenarios(batch, ghz(2.0), 1);
   const auto four = run_scenarios(batch, ghz(2.0), 4);
   ASSERT_EQ(one.size(), four.size());
   for (std::size_t i = 0; i < one.size(); ++i) {
+    EXPECT_EQ(one[i].offered, 320u);
+    EXPECT_GT(one[i].faults_injected, 0u);
+    EXPECT_GT(four[i].faults_injected, 0u);
     EXPECT_DOUBLE_EQ(one[i].p99.value(), four[i].p99.value());
     EXPECT_EQ(one[i].completed_all, four[i].completed_all);
     EXPECT_EQ(one[i].redispatched, four[i].redispatched);
@@ -220,10 +232,6 @@ TEST(Resilience, FaultedRunsAreDeterministicAcrossThreadCounts) {
 // the fleet level and per tenant for *any* combination of load, policy,
 // admission, faults and resilience — the conservation law of the serving
 // layer. The generator is seeded, so the "random" sample is stable.
-// This test deliberately assembles raw FleetConfig values (deprecated
-// legacy traffic fields, sometimes overlaid with a direct tenant table):
-// it is the remaining coverage for the legacy resolution path that
-// FleetConfigBuilder replaces everywhere else.
 TEST(ResilienceProperty, AccountingTilesAcrossRandomizedScenarios) {
   Xoshiro256StarStar rng{derive_seed(0xACC7, 0)};
   for (int trial = 0; trial < 14; ++trial) {
@@ -231,11 +239,11 @@ TEST(ResilienceProperty, AccountingTilesAcrossRandomizedScenarios) {
     cfg.profile = workload::WorkloadProfile::web_search();
     cfg.frequency = ghz(2.0);
     cfg.servers = 1 + static_cast<int>(rng() % 3);
-    cfg.user_instructions_per_request = 3'000;
-    cfg.arrival.kind = ArrivalKind::kPoisson;
-    cfg.arrival.rate = 8'000.0 + 5'000.0 * static_cast<double>(rng() % 8);
-    cfg.requests = 60 + rng() % 60;
-    cfg.warmup_requests = 8;
+    TenantSpec& base = cfg.tenants[0];
+    base.user_instructions_per_request = 3'000;
+    base.arrival = poisson(8'000.0 + 5'000.0 * static_cast<double>(rng() % 8));
+    base.requests = 60 + rng() % 60;
+    base.warmup_requests = 8;
     cfg.warm_instructions = 60'000;
     cfg.seed = rng();
     cfg.policy = rng() % 2 == 0 ? BalancePolicy::kLeastLoaded
@@ -319,17 +327,13 @@ TEST(ResilienceProperty, AccountingTilesAcrossRandomizedScenarios) {
     // Sometimes split the load across two tenants to exercise the
     // per-tenant tiling.
     if (rng() % 2 == 0) {
-      TenantSpec a, b;
+      TenantSpec a = base, b = base;
       a.name = "a";
-      a.arrival = cfg.arrival;
-      a.user_instructions_per_request = 3'000;
-      a.requests = cfg.requests / 2;
+      a.requests = base.requests / 2;
       a.warmup_requests = 4;
       b.name = "b";
-      b.arrival = cfg.arrival;
       b.arrival.rate *= 0.5;
-      b.user_instructions_per_request = 3'000;
-      b.requests = cfg.requests / 2;
+      b.requests = base.requests / 2;
       b.warmup_requests = 4;
       cfg.tenants = {a, b};
     }

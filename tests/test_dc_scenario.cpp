@@ -18,7 +18,7 @@ TEST(Scenario, RegistryEntriesAreUniqueAndExpandable) {
   std::set<BalancePolicy> policies;
   for (const auto& s : all) {
     EXPECT_TRUE(names.insert(s.name).second) << "duplicate scenario " << s.name;
-    kinds.insert(s.arrival.kind);
+    for (const auto& t : s.tenants) kinds.insert(t.arrival.kind);
     policies.insert(s.policy);
     // Every entry must expand into a valid runnable configuration.
     EXPECT_NO_THROW(s.fleet_config(ghz(2.0)).validate()) << s.name;
@@ -30,7 +30,7 @@ TEST(Scenario, RegistryEntriesAreUniqueAndExpandable) {
 
 TEST(Scenario, LookupByName) {
   const auto s = Scenario::by_name("websearch-poisson-light");
-  EXPECT_EQ(s.workload, "Web Search");
+  EXPECT_EQ(s.profile.name, "Web Search");
   EXPECT_THROW((void)Scenario::by_name("nonexistent"), ModelError);
 }
 
@@ -46,13 +46,14 @@ TEST(Scenario, RateForLoadScalesLinearly) {
 Scenario tiny_scenario() {
   Scenario s;
   s.name = "tiny";
-  s.workload = "Web Search";
-  s.arrival.kind = ArrivalKind::kPoisson;
-  s.arrival.rate = 20'000.0;
+  s.profile = workload::WorkloadProfile::web_search();
   s.servers = 2;
-  s.user_instructions_per_request = 3'000;
-  s.requests = 60;
-  s.warmup_requests = 8;
+  TenantSpec& t = s.tenants[0];
+  t.arrival.kind = ArrivalKind::kPoisson;
+  t.arrival.rate = 20'000.0;
+  t.user_instructions_per_request = 3'000;
+  t.requests = 60;
+  t.warmup_requests = 8;
   s.seed = 21;
   return s;
 }
@@ -102,13 +103,14 @@ TEST(Scenario, MeasuredTailMatchesAnalyticScalingWhenContentionFree) {
   // within 10% (instructions per request are constant, paper Sec. V-A).
   Scenario s;
   s.name = "xcheck";
-  s.workload = "Data Serving";
-  s.arrival.kind = ArrivalKind::kPoisson;
-  s.arrival.rate = rate_for_load(0.025, 2, 4, 8'000);
+  s.profile = workload::WorkloadProfile::data_serving();
   s.servers = 2;
-  s.user_instructions_per_request = 8'000;
-  s.requests = 300;
-  s.warmup_requests = 40;
+  TenantSpec& t = s.tenants[0];
+  t.arrival.kind = ArrivalKind::kPoisson;
+  t.arrival.rate = rate_for_load(0.025, 2, 4, 8'000);
+  t.user_instructions_per_request = 8'000;
+  t.requests = 300;
+  t.warmup_requests = 40;
   s.seed = 11;
 
   const auto target = qos::QosTarget::data_serving();

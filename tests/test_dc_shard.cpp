@@ -5,8 +5,7 @@
 // 1/2/4 shards x 1/4 threads on the two contract scenarios —
 // rack-loss-web (6 chips: faults, brownout ladder, breakers, emergency
 // wake all active) and consolidated-antiphase-search (1 chip: the
-// degenerate plan-clamping case, NTC-boost + multi-tenant) — and both
-// CI wakeup legs rerun it under either issue scheduler.
+// degenerate plan-clamping case, NTC-boost + multi-tenant).
 #include <gtest/gtest.h>
 
 #include <sstream>
