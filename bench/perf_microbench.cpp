@@ -184,10 +184,7 @@ void BM_ShardedFleet(benchmark::State& state) {
   dc::FleetResult serial, sharded;
   const double serial_s = wall(dc::RunOptions{.shards = 1, .threads = 1}, serial);
   const double sharded_s = wall(options, sharded);
-  if (serial.p99.value() != sharded.p99.value() ||
-      serial.span_cycles != sharded.span_cycles ||
-      serial.completed_all != sharded.completed_all ||
-      serial.energy.value() != sharded.energy.value()) {
+  if (serial != sharded) {  // every FleetResult field, doubles compared exactly
     state.SkipWithError("sharded run diverged from the serial reference");
     return;
   }

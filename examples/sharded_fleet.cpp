@@ -32,13 +32,6 @@ double wall_seconds(const dc::FleetRunner& runner, const dc::RunOptions& options
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-bool identical(const dc::FleetResult& a, const dc::FleetResult& b) {
-  return a.completed_all == b.completed_all && a.span_cycles == b.span_cycles &&
-         a.p99.value() == b.p99.value() && a.energy.value() == b.energy.value() &&
-         a.shed == b.shed && a.timed_out == b.timed_out &&
-         a.transitions == b.transitions && a.brownout_shed == b.brownout_shed;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -82,7 +75,7 @@ int main(int argc, char** argv) {
             << " us, completed " << sharded.completed_all << ", energy "
             << sharded.energy.value() * 1e3 << " mJ\n\n";
 
-  if (!identical(serial, sharded)) {
+  if (serial != sharded) {  // whole-result bit-identity
     std::cout << "FAIL: sharded run diverged from the serial reference\n";
     return 1;
   }

@@ -83,6 +83,8 @@ struct EpochRecord {
   /// The epoch ran below its governor's decided frequency because the
   /// fleet power cap's per-chip budget could not afford it.
   bool capped = false;
+
+  bool operator==(const EpochRecord&) const = default;
 };
 
 struct GovernorConfig {

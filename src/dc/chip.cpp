@@ -12,6 +12,10 @@ namespace ntserv::dc {
 
 namespace {
 
+/// Cycle cap on each cluster's cache warm: a warm that has not committed
+/// its warm_instructions by then stops there.
+constexpr Cycle kWarmMaxCycles = 6'000'000;
+
 /// Run context for invariant-violation messages: which chip, when — the
 /// difference between a diagnosable failure and a needle in a
 /// 1000-chip sweep.
@@ -48,7 +52,7 @@ ChipServer::ChipServer(const ChipParams& params)
           workload::AddressSpace::for_core(static_cast<CoreId>(c))));
     }
     auto cluster = std::make_unique<sim::Cluster>(cc, std::move(sources));
-    cluster->run_until_committed(params.warm_instructions, params.warm_max_cycles);
+    cluster->run_until_committed(params.warm_instructions, kWarmMaxCycles);
     clusters_.push_back(std::move(cluster));
   }
   slots_.resize(static_cast<std::size_t>(params.clusters * cores_per_cluster_));
@@ -173,8 +177,7 @@ void ChipServer::start_services(double now_s) {
   }
 }
 
-void ChipServer::advance(double now_s, double dt, Cycle quantum,
-                         const std::function<void(const Request&)>& on_complete) {
+void ChipServer::advance(double now_s, double dt, Cycle quantum, std::vector<Request>& done) {
   if (down_) return;             // crashed: no service, no active time
   if (busy_cores_ == 0) return;  // whole chip asleep (fleet-level event skip)
 
@@ -234,7 +237,7 @@ void ChipServer::advance(double now_s, double dt, Cycle quantum,
                 : 1.0;
         slot.request.completion_s = now_s + frac * served_dt;
         if (governor_ != nullptr) epoch_latencies_.push_back(slot.request.latency_s());
-        on_complete(slot.request);
+        done.push_back(slot.request);
         if (!queue_.empty()) {
           // Back-to-back service: the next queued request starts at the
           // interpolated completion instant, and the instructions the

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -62,7 +61,6 @@ struct ChipParams {
   workload::WorkloadProfile profile;
   Hertz frequency{2e9};         ///< fleet base frequency (the master clock)
   std::uint64_t warm_instructions = 600'000;
-  Cycle warm_max_cycles = 6'000'000;
   std::uint64_t fleet_seed = 1;
   /// Global index of this chip's first cluster: per-cluster workload
   /// streams are a pure function of (fleet seed, global cluster index),
@@ -82,7 +80,6 @@ class ChipServer {
   ChipServer(const ChipServer&) = delete;
   ChipServer& operator=(const ChipServer&) = delete;
 
-  [[nodiscard]] int clusters() const { return static_cast<int>(clusters_.size()); }
   [[nodiscard]] int cores() const { return static_cast<int>(slots_.size()); }
   [[nodiscard]] Hertz frequency() const { return frequency_; }
 
@@ -188,18 +185,15 @@ class ChipServer {
   /// of the fleet's base clock). The chip's clusters advance
   /// quantum * f_chip / f_base cycles (fractional cycles carried across
   /// quanta), so a descended chip serves proportionally fewer
-  /// instructions per quantum. Completed requests are handed to
-  /// `on_complete` in deterministic (cluster-major, slot-minor) order.
-  void advance(double now_s, double dt, Cycle quantum,
-               const std::function<void(const Request&)>& on_complete);
+  /// instructions per quantum. Completed requests are appended to `done`
+  /// in deterministic (cluster-major, slot-minor) order.
+  void advance(double now_s, double dt, Cycle quantum, std::vector<Request>& done);
 
   // ---- Governor / epochs ----
   /// Attach this chip's governor instance (fleet-built; `manager` must
   /// outlive the chip). Sets the chip to the governor's initial frequency.
   void attach_governor(std::unique_ptr<ctrl::FleetGovernor> governor,
                        const pm::PowerManager* manager, Second qos_p99_limit);
-  [[nodiscard]] bool governed() const { return governor_ != nullptr; }
-  [[nodiscard]] const ctrl::FleetGovernor& governor() const { return *governor_; }
   /// Forward a detected-error event to the chip's governor, which enters
   /// its guardband mode. No-op on an ungoverned chip.
   void notify_error() {

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <queue>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -12,22 +15,20 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "dc/latency_stats.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace ntserv::dc {
 
 namespace {
 
-/// Run context for invariant-violation messages: where in the run the
-/// fleet was when the invariant broke — the difference between a
-/// diagnosable failure and a needle in a 1000-chip sweep.
-std::string run_context(double now_s, std::uint64_t epoch, std::uint64_t disposed,
-                        std::uint64_t total) {
-  std::ostringstream os;
-  os << "[t=" << now_s << "s, epoch " << epoch << ", disposed " << disposed << "/"
-     << total << "]";
-  return os.str();
-}
+/// Power-aware packing bound: a chip accepts new work while its
+/// outstanding count is below this many requests per core.
+constexpr double kPackDepthPerCore = 2.0;
+
+/// Salt for the per-shard seed stream: ShardPlan seeds must never
+/// collide with the tenant (0xA441/0xB0D6) or workload (0x5E28) streams.
+constexpr std::uint64_t kShardSeedSalt = 0x5A4Dull;
 
 }  // namespace
 
@@ -70,8 +71,6 @@ void FleetConfig::validate() const {
   NTSERV_EXPECTS(servers > 0, "fleet needs at least one chip");
   NTSERV_EXPECTS(clusters_per_chip > 0, "a chip needs at least one cluster");
   NTSERV_EXPECTS(frequency.value() > 0.0, "core frequency must be positive");
-  NTSERV_EXPECTS(quantum > 0, "quantum must be positive");
-  NTSERV_EXPECTS(pack_depth_per_core > 0.0, "pack depth must be positive");
   NTSERV_EXPECTS(!tenants.empty(), "fleet needs at least one tenant");
   std::set<std::string> names;
   for (const auto& t : tenants) {
@@ -121,12 +120,6 @@ void FleetConfig::validate() const {
                    "autoscaler min_active exceeds the fleet size");
   }
 }
-
-namespace {
-/// Salt for the per-shard seed stream: ShardPlan seeds must never
-/// collide with the tenant (0xA441/0xB0D6) or workload (0x5E28) streams.
-constexpr std::uint64_t kShardSeedSalt = 0x5A4Dull;
-}  // namespace
 
 ShardPlan ShardPlan::serial(int servers, std::uint64_t fleet_seed) {
   return make(servers, 1, fleet_seed);
@@ -187,19 +180,6 @@ ClusterFleet::ClusterFleet(FleetConfig config, int build_threads)
           std::make_unique<pm::PowerManager>(ctrl::make_power_manager(config_.governor)));
     }
   }
-  const auto& specs = config_.tenants;
-  tenants_.reserve(specs.size());
-  for (std::size_t t = 0; t < specs.size(); ++t) {
-    TenantState state;
-    state.spec = specs[t];
-    // Per-tenant streams keyed by tenant index.
-    state.arrivals = std::make_unique<ArrivalProcess>(
-        specs[t].arrival, derive_seed(config_.seed, 0xA441ull + t));
-    state.budgets = std::make_unique<ctrl::BudgetSampler>(
-        specs[t].resolved_budget(), derive_seed(config_.seed, 0xB0D6ull + t));
-    state.total = specs[t].requests + specs[t].warmup_requests;
-    tenants_.push_back(std::move(state));
-  }
   // Chip -> router group (all group 0 without routing; with it, groups
   // occupy contiguous index ranges in config order).
   std::vector<int> chip_group(static_cast<std::size_t>(config_.servers), 0);
@@ -228,11 +208,10 @@ ClusterFleet::ClusterFleet(FleetConfig config, int build_threads)
     params.profile = config_.profile;
     params.frequency = config_.frequency;
     params.warm_instructions = config_.warm_instructions;
-    params.warm_max_cycles = config_.warm_max_cycles;
     params.fleet_seed = config_.seed;
     params.first_cluster_index = s * config_.clusters_per_chip;
     params.chip_id = s;
-    params.tenants = static_cast<int>(tenants_.size());
+    params.tenants = static_cast<int>(config_.tenants.size());
     chips_[i] = std::make_unique<ChipServer>(params);
   });
   if (governed_) {
@@ -274,11 +253,7 @@ ClusterFleet::ClusterFleet(FleetConfig config, int build_threads)
       status[s].chip = static_cast<int>(s);
       status[s].group = chips_[s]->group();
     }
-    const std::vector<Watt> budgets = capper_->split(status, Watt{0.0});
-    for (std::size_t s = 0; s < chips_.size(); ++s) {
-      chips_[s]->set_power_budget(budgets[s]);
-      chips_[s]->apply_power_budget();
-    }
+    split_power_cap(status, /*apply_now=*/true);
   }
 }
 
@@ -298,1258 +273,1267 @@ void ClusterFleet::set_telemetry(obs::Telemetry* telemetry) {
   if (capper_) capper_->attach_trace(trace_);
 }
 
-int ClusterFleet::outstanding(int s) const {
-  return chips_.at(static_cast<std::size_t>(s))->outstanding();
+void ClusterFleet::split_power_cap(const std::vector<orch::ChipStatus>& status,
+                                   bool apply_now) {
+  Watt reserved{0.0};
+  for (const auto& st : status) {
+    if (st.parked && !st.down) {
+      reserved += managers_[static_cast<std::size_t>(st.group)]->sleep_power();
+    }
+  }
+  const std::vector<Watt> budgets = capper_->split(status, reserved);
+  for (std::size_t s = 0; s < chips_.size(); ++s) {
+    chips_[s]->set_power_budget(budgets[s]);
+    if (apply_now) chips_[s]->apply_power_budget();
+  }
 }
 
-int ClusterFleet::least_loaded(bool healthy_only, int exclude, int avoid_domain) const {
-  // Tiered choice: same-failure-domain chips (hedge placement), draining
-  // chips and breaker-open chips are progressively worse fallbacks —
-  // used only when nothing better serves, so work is never stranded.
-  // Parked chips never take work. Within a tier: fewest outstanding,
-  // lowest index on ties.
-  int best = -1, best_tier = 0;
-  for (int s = 0; s < servers(); ++s) {
-    if (s == exclude) continue;
-    const ChipServer& chip = *chips_[static_cast<std::size_t>(s)];
-    if (chip.parked()) continue;
-    if (healthy_only && chip.down()) continue;
-    int tier = 0;
-    if (avoid_domain >= 0 && chip_domain_[static_cast<std::size_t>(s)] == avoid_domain) {
-      tier += 1;
-    }
-    if (chip.draining()) tier += 2;
-    if (!breakers_.empty() && !breakers_[static_cast<std::size_t>(s)].allow_dispatch()) {
-      tier += 4;
-    }
-    if (best < 0 || tier < best_tier ||
-        (tier == best_tier && outstanding(s) < outstanding(best))) {
-      best = s;
-      best_tier = tier;
-    }
+// ---------------------------------------------------------------------------
+// One fleet run
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// One admitted, unresolved dispatch copy of a request.
+struct LiveCopy {
+  std::uint64_t copy;
+  int server;
+};
+
+/// Everything the fleet knows about an undisposed request: the canonical
+/// fields (for retries and hedges), its live copies, and its fault
+/// exposure.
+struct PendingRequest {
+  Request proto;
+  std::vector<LiveCopy> live;
+  bool hedged = false;
+  bool damaged = false;  ///< lifetime overlapped an active fault window
+
+  [[nodiscard]] std::vector<LiveCopy>::iterator find_copy(std::uint64_t copy) {
+    return std::find_if(live.begin(), live.end(),
+                        [copy](const LiveCopy& c) { return c.copy == copy; });
   }
-  return best;
-}
+};
 
-int ClusterFleet::pick_server(const Request& req, double now_s) {
-  // With failover the dispatcher is health-aware: every policy confines
-  // itself to chips that are up, and -1 reports a fully-dark fleet.
-  // Without it the dispatcher is deliberately health-blind — the
-  // baseline every failover comparison is made against.
-  const bool avoid_down = config_.resilience.failover;
-  const auto serving = [&](int s) {
-    const ChipServer& chip = *chips_[static_cast<std::size_t>(s)];
-    if (chip.parked() || chip.draining()) return false;
-    if (!breakers_.empty() && !breakers_[static_cast<std::size_t>(s)].allow_dispatch()) {
-      return false;  // breaker open: least_loaded may still fall back here
-    }
-    return !avoid_down || !chip.down();
-  };
-  if (router_) {
-    // Tech routing supersedes the balance policy: the router's standing
-    // preference (updated at the barrier) picks the group, least-loaded
-    // picks within it; a group with no serving chip falls back fleet-wide
-    // and the miss is recorded.
-    const bool critical =
-        tenants_[static_cast<std::size_t>(req.tenant)].spec.latency_critical;
-    const int pg = router_->preferred_group(critical);
-    int best = -1;
-    for (int s = 0; s < servers(); ++s) {
-      if (!serving(s)) continue;
-      if (chips_[static_cast<std::size_t>(s)]->group() != pg) continue;
-      if (best < 0 || outstanding(s) < outstanding(best)) best = s;
-    }
-    if (best >= 0) {
-      router_->note_dispatch(pg, /*fallback=*/false);
-      return best;
-    }
-    const int fb = least_loaded(avoid_down);
-    if (fb >= 0) {
-      router_->note_dispatch(chips_[static_cast<std::size_t>(fb)]->group(),
-                             /*fallback=*/true);
-    }
-    return fb;
+/// A client waiting out its back-off before the next dispatch attempt.
+struct RetryEntry {
+  double due_s;
+  Request request;
+  /// Min-heap on (due time, id): id breaks ties deterministically.
+  [[nodiscard]] bool operator>(const RetryEntry& o) const {
+    return due_s != o.due_s ? due_s > o.due_s : request.id > o.request.id;
   }
-  switch (config_.policy) {
-    case BalancePolicy::kRoundRobin: {
-      for (int tried = 0; tried < servers(); ++tried) {
-        const int s = round_robin_next_;
-        round_robin_next_ = (round_robin_next_ + 1) % servers();
-        if (serving(s)) return s;
-      }
-      // Every chip parked/draining/down: the least-loaded fallback still
-      // finds a draining chip, so work is never stranded.
-      return least_loaded(avoid_down);
-    }
-    case BalancePolicy::kLeastLoaded:
-      return least_loaded(avoid_down);
-    case BalancePolicy::kPowerAware: {
-      // Pack in index order while a chip has headroom; beyond that fall
-      // back to least-loaded so saturation degrades gracefully.
-      const double cap = config_.pack_depth_per_core *
-                         static_cast<double>(cores_per_server());
-      for (int s = 0; s < servers(); ++s) {
-        if (serving(s) && static_cast<double>(outstanding(s)) < cap) return s;
-      }
-      return least_loaded(avoid_down);
-    }
-    case BalancePolicy::kGovernorAware: {
-      const int base = least_loaded(avoid_down);
-      if (base < 0) return -1;      // fully-dark fleet
-      if (!governed_) return base;  // nothing to anticipate open-loop
-      const bool critical =
-          tenants_[static_cast<std::size_t>(req.tenant)].spec.latency_critical;
-      if (!critical) return base;  // batch work soaks any chip, descending or not
-      // Steer latency-critical work onto chips that are neither
-      // mid-transition nor about to descend at the next epoch boundary
-      // (the governor's pending decision, previewed via peek).
-      int best = -1;
-      for (int s = 0; s < servers(); ++s) {
-        const ChipServer& chip = *chips_[static_cast<std::size_t>(s)];
-        if (!serving(s)) continue;
-        if (chip.in_transition(now_s) ||
-            chip.pending_descent(now_s, epoch_start_s_, peek_window_s_)) {
-          continue;
-        }
-        if (best < 0 || outstanding(s) < outstanding(best)) best = s;
-      }
-      if (best < 0) return base;  // every chip descending: nowhere to steer
-      if (best != base) ++steered_;
-      return best;
-    }
+};
+
+/// A copy's timeout (key = copy) or a request's hedge (key = id) falling
+/// due; the key breaks due-time ties deterministically.
+struct Timer {
+  double due_s;
+  std::uint64_t key;
+  std::uint64_t id;
+  [[nodiscard]] bool operator>(const Timer& o) const {
+    return due_s != o.due_s ? due_s > o.due_s : key > o.key;
   }
-  return 0;
-}
+};
 
-bool ClusterFleet::any_core_busy() const {
-  for (const auto& chip : chips_) {
-    if (chip->busy_cores() > 0) return true;
+template <typename T>
+using MinHeap = std::priority_queue<T, std::vector<T>, std::greater<>>;
+
+/// The books of one run: every undisposed request with its live copies,
+/// the in-service copies whose completion will be discarded, and the
+/// timers that act on them. Every disposal goes through dispose(), so
+/// the disposed and damage counts stay consistent by construction;
+/// close() checks that the books tile.
+class RequestLedger {
+ public:
+  [[nodiscard]] std::uint64_t disposed() const { return disposed_; }
+  [[nodiscard]] std::size_t in_flight() const { return pending_.size(); }
+  /// Undisposed requests whose lifetime overlapped a fault window.
+  [[nodiscard]] std::uint64_t damaged() const { return damaged_; }
+
+  void open(const Request& req) {
+    pending_.emplace(req.id, PendingRequest{req, {}, false, false});
   }
-  return false;
-}
-
-FleetResult ClusterFleet::run() {
-  return run(ShardPlan::serial(servers(), config_.seed), 1);
-}
-
-FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
-  plan.validate(servers());
-  if (threads <= 0) threads = sim::ThreadPool::default_threads();
-  const double base_f = config_.frequency.value();
-  const double max_s = static_cast<double>(config_.max_cycles) / base_f;
-  const Cycle q = config_.quantum;
-  const double dt = static_cast<double>(q) / base_f;  // master wall quantum
-  const int total_cores = servers() * cores_per_server();
-
-  std::uint64_t total = 0;
-  for (auto& tenant : tenants_) {
-    total += tenant.total;
-    tenant.next_arrival_s = tenant.arrivals->next().value();
+  /// The request's state, or null once it is disposed.
+  [[nodiscard]] PendingRequest* find(std::uint64_t id) {
+    const auto it = pending_.find(id);
+    return it == pending_.end() ? nullptr : &it->second;
   }
-  // Traffic is counted once, per tenant; fleet-wide figures sum the rows.
-  const auto fleet_sum = [this](std::uint64_t TenantState::*counter) {
-    std::uint64_t sum = 0;
-    for (const auto& tenant : tenants_) sum += tenant.*counter;
-    return sum;
-  };
-
-  StreamingPercentiles latency;
-  RunningStats latency_mean, wait_mean;
-  double now_s = 0.0;
-  std::uint64_t next_id = 0;  ///< global admission-order sequence
-  std::uint64_t admitted = 0, retry_count = 0;
-  std::uint64_t disposed = 0;  ///< completed + shed + timed-out requests
-  bool truncated = false;
-  double last_arrival_s = 0.0;
-  steered_ = 0;
-
-  // ---- Fault & resilience state (all idle on a healthy, patient run) ----
-  const ResilienceConfig& res = config_.resilience;
-  const double timeout_s = res.timeout.value();
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (config_.faults.any()) {
-    injector =
-        std::make_unique<fault::FaultInjector>(config_.faults, config_.seed, servers());
+  /// Retire a request: completed, shed, or timed out.
+  void dispose(std::uint64_t id) {
+    const auto it = pending_.find(id);
+    if (it->second.damaged) --damaged_;
+    pending_.erase(it);
+    ++disposed_;
   }
 
-  // ---- Telemetry (all idle when detached; see set_telemetry) ----
-  obs::PhaseTimers::Scope run_scope(timers_, "fleet-run");
-  if (trace_ != nullptr) {
-    trace_->begin_run(servers());
-    if (injector != nullptr) injector->attach_trace(trace_);
-  }
-
-  /// One admitted, unresolved dispatch copy of a request.
-  struct LiveCopy {
-    std::uint64_t copy;
-    int server;
-  };
-  /// Everything the fleet knows about an undisposed request: the
-  /// canonical fields (for retries and hedges), its live copies, and its
-  /// fault exposure.
-  struct PendingRequest {
-    Request proto;
-    std::vector<LiveCopy> live;
-    bool hedged = false;
-    bool damaged = false;  ///< lifetime overlapped an active fault window
-  };
-  std::unordered_map<std::uint64_t, PendingRequest> pending;  // id -> state
-  /// In-service copies that lost their race (timeout abandonment or a
-  /// sibling's win): they run to completion, and the completion is
-  /// discarded as wasted work.
-  std::unordered_set<std::uint64_t> dead_copies;
-  std::uint64_t copy_seq = 0;
-
-  struct CopyDeadline {
-    double due_s;
-    std::uint64_t copy;
-    std::uint64_t id;
-    [[nodiscard]] bool operator>(const CopyDeadline& o) const {
-      return due_s != o.due_s ? due_s > o.due_s : copy > o.copy;
-    }
-  };
-  std::priority_queue<CopyDeadline, std::vector<CopyDeadline>, std::greater<>> timeouts;
-  struct HedgeDue {
-    double due_s;
-    std::uint64_t id;
-    [[nodiscard]] bool operator>(const HedgeDue& o) const {
-      return due_s != o.due_s ? due_s > o.due_s : id > o.id;
-    }
-  };
-  std::priority_queue<HedgeDue, std::vector<HedgeDue>, std::greater<>> hedges;
-
-  std::uint64_t hedge_wins = 0, wasted = 0, good_completions = 0;
-  std::uint64_t faults_injected = 0;
-  int chips_down = 0, chips_degraded = 0;
-  std::vector<char> chip_degraded(static_cast<std::size_t>(servers()), 0);
-  std::uint64_t damaged_live = 0;  ///< pending requests touched by a fault
-  double first_fault_s = -1.0, recovered_at = -1.0;
-  int guardband_epochs = 0;
-
-  auto fault_active = [&] { return chips_down > 0 || chips_degraded > 0; };
-  auto mark_damaged = [&](PendingRequest& pr) {
+  void mark_damaged(PendingRequest& pr) {
     if (pr.damaged) return;
     pr.damaged = true;
-    ++damaged_live;
-  };
-  // The recovery point: every fault window closed *and* every request a
-  // window touched disposed — the backlog a crash leaves behind is part
-  // of the outage, not of normal operation. A later fault reopens it.
-  auto note_recovery = [&](double t) {
-    if (first_fault_s < 0.0 || recovered_at >= 0.0) return;
-    if (!fault_active() && damaged_live == 0) recovered_at = t;
-  };
-
-  // Epoch (closed-loop) state. The epoch is a *wall-time* control
-  // interval sized at the base frequency: a governor that slowed a
-  // chip's clock must not also slow its own reaction time. All chips
-  // share the boundary grid; each makes its own decision at it.
-  const double epoch_len_s =
-      static_cast<double>(config_.governor.epoch_quanta) * dt;
-  epoch_start_s_ = 0.0;
-  peek_window_s_ = 0.25 * epoch_len_s;
-  std::uint64_t epoch_index = 0;
-  double energy_j = 0.0;
-  Second total_transition{0.0};
-  int transitions = 0, transition_epochs = 0, violations = 0;
-  std::vector<ctrl::EpochRecord> epoch_records;
-
-  // ---- Orchestration state (all idle when orchestration is off) ----
-  std::uint64_t parks = 0, unparks = 0, drains = 0, emergency_wakes = 0;
-  double wake_energy_j = 0.0;
-  int cap_clamp_epochs = 0, cap_violation_epochs = 0;
-  double peak_epoch_power = 0.0;
-  std::vector<double> group_energy_j;
-  std::vector<std::uint64_t> group_dispatches;
-  if (router_) {
-    group_energy_j.assign(config_.orchestration.router.groups.size(), 0.0);
-    group_dispatches.assign(config_.orchestration.router.groups.size(), 0);
+    ++damaged_;
+  }
+  /// A fault hit `chip`: every request with a live copy there is damaged.
+  void damage_residents(int chip) {
+    for (auto& [id, pr] : pending_) {
+      for (const auto& lc : pr.live) {
+        if (lc.server == chip) {
+          mark_damaged(pr);
+          break;
+        }
+      }
+    }
   }
 
-  // ---- Brownout / breaker state (idle when both are off) ----
-  ctrl::BrownoutStage stage = ctrl::BrownoutStage::kNormal;
-  int brownout_epochs = 0;
-  std::vector<int> stage_epochs(static_cast<std::size_t>(ctrl::kBrownoutStages), 0);
-  int breaker_open_epochs = 0;
-  /// A correlated (domain-tagged) crash was delivered since the last
-  /// barrier: the autoscaler's next decide() runs in emergency mode.
-  bool domain_outage_pending = false;
+  [[nodiscard]] std::uint64_t next_copy() { return ++copy_seq_; }
+  /// Remove a cancelled copy from the fleet: dequeue it from its chip's
+  /// `queue` if it is still waiting, otherwise it is in service and its
+  /// eventual completion is discarded as wasted work.
+  void cancel(const LiveCopy& lc, std::deque<Request>& queue) {
+    for (auto qit = queue.begin(); qit != queue.end(); ++qit) {
+      if (qit->copy == lc.copy) {
+        queue.erase(qit);
+        return;
+      }
+    }
+    dead_.insert(lc.copy);
+  }
+  /// A completion of a cancelled copy: forget the copy, report waste.
+  [[nodiscard]] bool discard(std::uint64_t copy) { return dead_.erase(copy) > 0; }
+
+  /// End of run: attribute the undisposed requests to their tenants as
+  /// in flight, then check that the books tile — every offered request is
+  /// exactly one of completed, shed, timed out, or still in flight
+  /// (truncation), for the fleet and for every tenant.
+  void close(FleetResult& r, const std::string& context) const {
+    r.in_flight = pending_.size();
+    for (const auto& [id, pr] : pending_) {
+      ++r.tenants[static_cast<std::size_t>(pr.proto.tenant)].in_flight;
+    }
+    NTSERV_ENSURES(r.offered == r.completed_all + r.shed + r.timed_out + r.in_flight,
+                   "request accounting does not tile " + context);
+    for (const TenantResult& t : r.tenants) {
+      NTSERV_ENSURES(t.offered == t.completed_all + t.shed + t.timed_out + t.in_flight,
+                     "tenant '" + t.name + "' accounting does not tile " + context);
+    }
+  }
+
+  MinHeap<RetryEntry> retries;  ///< clients waiting out a back-off
+  MinHeap<Timer> deadlines;     ///< per-copy timeouts
+  MinHeap<Timer> hedges;        ///< requests earning their hedge
+
+ private:
+  std::unordered_map<std::uint64_t, PendingRequest> pending_;  ///< id -> state
+  /// In-service copies that lost their race (timeout abandonment or a
+  /// sibling's win): they run to completion, then are discarded.
+  std::unordered_set<std::uint64_t> dead_;
+  std::uint64_t copy_seq_ = 0;
+  std::uint64_t damaged_ = 0;
+  std::uint64_t disposed_ = 0;
+};
+
+/// Latency estimators of one population: the fleet, or one tenant.
+struct LatencyStats {
+  StreamingPercentiles tail{};
+  RunningStats latency, wait;
+
+  void add(const Request& req) {
+    tail.add(req.latency_s());
+    latency.add(req.latency_s());
+    wait.add(req.wait_s());
+  }
+  /// Fill a FleetResult's or TenantResult's latency fields (left zero
+  /// without a measured completion).
+  template <typename Result>
+  void report(Result& out) const {
+    if (tail.count() == 0) return;
+    out.mean_latency = Second{latency.mean()};
+    out.p50 = Second{tail.p50()};
+    out.p95 = Second{tail.p95()};
+    out.p99 = Second{tail.p99()};
+    out.mean_wait = Second{wait.mean()};
+  }
+};
+
+/// One tenant's generators and latency estimators.
+struct TenantState {
+  const TenantSpec* spec;
+  ArrivalProcess arrivals;
+  ctrl::BudgetSampler budgets;
+  std::uint64_t total;  ///< requests + warmup_requests
+  double next_arrival_s = 0.0;
+  LatencyStats latency{};
+};
+
+// Per-epoch metric columns, registered once before any snapshot.
+struct ChipMetricIds {
+  obs::MetricsRegistry::Id queue, freq, power, util, breaker, parked, down;
+};
+struct FleetMetricIds {
+  obs::MetricsRegistry::Id offered, completed, shed, timed_out, retries;
+  obs::MetricsRegistry::Id p50, p95, p99, brownout, power, parked, in_flight;
+  obs::MetricsRegistry::Id latency_hist;
+};
+
+}  // namespace
+
+/// One fleet run: a quantum loop over named stages — fault delivery, the
+/// epoch barrier, timeouts, dispatch, hedges, the sharded data plane and
+/// completion — then result assembly. Every counter is booked once,
+/// directly on the FleetResult or TenantResult field that reports it.
+class ClusterFleet::Run {
+ public:
+  Run(ClusterFleet& fleet, const ShardPlan& plan, int threads)
+      : fleet_(fleet),
+        plan_(plan),
+        res_(fleet.config_.resilience),
+        base_f_(fleet.config_.frequency.value()),
+        max_s_(static_cast<double>(fleet.config_.max_cycles) / base_f_),
+        dt_(static_cast<double>(FleetConfig::quantum) / base_f_),
+        epoch_len_s_(static_cast<double>(fleet.config_.governor.epoch_quanta) * dt_),
+        timeout_s_(res_.timeout.value()),
+        chip_degraded_(fleet.chips_.size(), 0),
+        done_(plan.shards.size()) {
+    const FleetConfig& cfg = fleet_.config_;
+    r_.workload = cfg.profile.name;
+    r_.frequency = cfg.frequency;
+    r_.governed = fleet_.governed_;
+    r_.brownout_enabled = fleet_.brownout_.has_value();
+    if (fleet_.brownout_) {
+      r_.brownout_stage_epochs.assign(static_cast<std::size_t>(ctrl::kBrownoutStages), 0);
+    }
+    if (fleet_.router_) {
+      for (const auto& g : cfg.orchestration.router.groups) r_.group_names.push_back(g.name);
+      r_.group_dispatches.assign(r_.group_names.size(), 0);
+      r_.group_energy.assign(r_.group_names.size(), Joule{0.0});
+    }
+    tenants_.reserve(cfg.tenants.size());
+    r_.tenants.resize(cfg.tenants.size());
+    for (std::size_t t = 0; t < cfg.tenants.size(); ++t) {
+      const TenantSpec& spec = cfg.tenants[t];
+      // Per-tenant streams keyed by tenant index.
+      tenants_.push_back(TenantState{
+          &spec, ArrivalProcess{spec.arrival, derive_seed(cfg.seed, 0xA441ull + t)},
+          ctrl::BudgetSampler{spec.resolved_budget(), derive_seed(cfg.seed, 0xB0D6ull + t)},
+          spec.requests + spec.warmup_requests});
+      tenants_.back().next_arrival_s = tenants_.back().arrivals.next().value();
+      total_ += tenants_.back().total;
+      r_.tenants[t].name = spec.name;
+    }
+    if (cfg.faults.any()) {
+      injector_ =
+          std::make_unique<fault::FaultInjector>(cfg.faults, cfg.seed, fleet_.servers());
+    }
+    if (fleet_.trace_ != nullptr) {
+      fleet_.trace_->begin_run(fleet_.servers());
+      if (injector_ != nullptr) injector_->attach_trace(fleet_.trace_);
+    }
+    if (obs::MetricsRegistry* m = fleet_.metrics_; m != nullptr) {
+      for (int s = 0; s < fleet_.servers(); ++s) {
+        const std::string p = "chip" + std::to_string(s) + ".";
+        chip_metric_ids_.push_back({m->gauge(p + "queue"), m->gauge(p + "freq_ghz"),
+                                    m->gauge(p + "power_w"), m->gauge(p + "util"),
+                                    m->gauge(p + "breaker"), m->gauge(p + "parked"),
+                                    m->gauge(p + "down")});
+      }
+      fm_ = {m->counter("fleet.offered"),     m->counter("fleet.completed"),
+             m->counter("fleet.shed"),        m->counter("fleet.timed_out"),
+             m->counter("fleet.retries"),     m->gauge("fleet.p50_us"),
+             m->gauge("fleet.p95_us"),        m->gauge("fleet.p99_us"),
+             m->gauge("fleet.brownout_stage"), m->gauge("fleet.power_w"),
+             m->gauge("fleet.parked_chips"),  m->gauge("fleet.in_flight"),
+             m->histogram("fleet.latency_us")};
+    }
+    // One persistent pool per run (not per quantum): workers park on the
+    // condition variable between quanta, so the per-quantum cost is one
+    // submit + one wait_idle barrier per shard.
+    const int pool_threads = std::min(threads, plan.shard_count());
+    if (pool_threads > 1) pool_ = std::make_unique<sim::ThreadPool>(pool_threads);
+  }
+
+  [[nodiscard]] FleetResult execute() {
+    obs::TraceSink* const trace = fleet_.trace_;
+    while (ledger_.disposed() < total_) {
+      if (now_s_ >= max_s_) {
+        r_.truncated = true;
+        break;
+      }
+      if (trace != nullptr) trace->set_now(now_s_);
+      if (injector_ != nullptr) {
+        while (injector_->due(now_s_)) apply_fault(injector_->pop());
+      }
+      if (fleet_.governed_ && now_s_ >= epoch_start_s_ + epoch_len_s_) close_epoch(false);
+      expire_deadlines();
+      admit_due();
+      dispatch_hedges();
+      for (auto& c : fleet_.chips_) c->start_services(now_s_);
+      const bool busy = std::any_of(fleet_.chips_.begin(), fleet_.chips_.end(),
+                                    [](const auto& c) { return c->busy_cores() > 0; });
+      if (busy) {
+        advance_chips();
+        now_s_ += dt_;
+      } else if (!skip_idle()) {
+        break;
+      }
+    }
+    if (trace != nullptr) trace->set_now(now_s_);
+    if (fleet_.governed_) close_epoch(true);
+    if (trace != nullptr) trace->finish();
+    return assemble();
+  }
+
+ private:
+  /// How a copy reaches a chip queue.
+  enum class Placement {
+    kPrimary,     ///< an admitted dispatch attempt
+    kHedge,       ///< the hedged duplicate
+    kRedispatch,  ///< a crash victim moved by failover (keeps its copy id)
+  };
+
+  [[nodiscard]] ChipServer& chip(int s) const {
+    return *fleet_.chips_[static_cast<std::size_t>(s)];
+  }
+  [[nodiscard]] bool critical(int tenant) const {
+    return tenants_[static_cast<std::size_t>(tenant)].spec->latency_critical;
+  }
+  /// Run context for invariant-violation messages: where in the run the
+  /// fleet was when the invariant broke — the difference between a
+  /// diagnosable failure and a needle in a 1000-chip sweep.
+  [[nodiscard]] std::string context() const {
+    std::ostringstream os;
+    os << "[t=" << now_s_ << "s, epoch " << epoch_index_ << ", disposed "
+       << ledger_.disposed() << "/" << total_ << "]";
+    return os.str();
+  }
+  /// Snapshot for the orchestration controllers (live queue depths, last
+  /// closed epoch's utilization).
+  [[nodiscard]] std::vector<orch::ChipStatus> chip_status() const {
+    std::vector<orch::ChipStatus> status(fleet_.chips_.size());
+    for (std::size_t s = 0; s < status.size(); ++s) {
+      const ChipServer& c = *fleet_.chips_[s];
+      status[s].chip = static_cast<int>(s);
+      status[s].group = c.group();
+      status[s].down = c.down();
+      status[s].parked = c.parked();
+      status[s].draining = c.draining();
+      status[s].outstanding = c.outstanding();
+      status[s].utilization = c.last_epoch_utilization();
+      status[s].floor_power = c.floor_power();
+    }
+    return status;
+  }
+  /// Traffic is counted once, per tenant; fleet-wide figures sum the rows.
+  [[nodiscard]] std::uint64_t fleet_sum(std::uint64_t TenantResult::*counter) const {
+    std::uint64_t sum = 0;
+    for (const auto& row : r_.tenants) sum += row.*counter;
+    return sum;
+  }
+
+  // ---- Dispatch ----
+
+  void admit_due() {
+    // Admit everything due by now: merge the tenants' arrival streams and
+    // the back-off heap in event-time order (ties go to the fresh arrival,
+    // then to the lower tenant index, so ids stay in admission order).
+    for (;;) {
+      const std::size_t t = next_arrival_tenant();
+      const bool arrival_due = t < tenants_.size() && tenants_[t].next_arrival_s <= now_s_;
+      auto& retries = ledger_.retries;
+      const bool retry_due = !retries.empty() && retries.top().due_s <= now_s_;
+      if (!arrival_due && !retry_due) break;
+      if (arrival_due && (!retry_due || tenants_[t].next_arrival_s <= retries.top().due_s)) {
+        admit_arrival(t);
+      } else {
+        const RetryEntry entry = retries.top();
+        retries.pop();
+        dispatch(entry.request, entry.due_s, /*fresh=*/false);
+      }
+    }
+  }
+
+  /// The tenant with the earliest pending arrival (lowest index on ties);
+  /// tenants_.size() once every tenant has offered all its requests.
+  [[nodiscard]] std::size_t next_arrival_tenant() const {
+    std::size_t t = tenants_.size();
+    for (std::size_t k = 0; k < tenants_.size(); ++k) {
+      if (r_.tenants[k].offered >= tenants_[k].total) continue;
+      if (t == tenants_.size() || tenants_[k].next_arrival_s < tenants_[t].next_arrival_s) {
+        t = k;
+      }
+    }
+    return t;
+  }
+
+  void admit_arrival(std::size_t t) {
+    TenantState& tenant = tenants_[t];
+    TenantResult& row = r_.tenants[t];
+    Request req;
+    req.id = next_id_++;
+    req.tenant = static_cast<int>(t);
+    req.tenant_seq = row.offered;
+    req.arrival_s = tenant.next_arrival_s;
+    req.budget = tenant.budgets.sample(req.tenant_seq);
+    last_arrival_s_ = std::max(last_arrival_s_, tenant.next_arrival_s);
+    ++row.offered;
+    if (row.offered < tenant.total) tenant.next_arrival_s = tenant.arrivals.next().value();
+    ledger_.open(req);
+    if (fleet_.trace_ != nullptr) {
+      fleet_.trace_->emit(obs::EventKind::kAdmit, /*chip=*/-1, req.arrival_s, req.tenant,
+                          static_cast<std::int64_t>(req.id));
+    }
+    dispatch(req, req.arrival_s, /*fresh=*/true);
+  }
+
+  // One dispatch attempt at event time `event_s` (arrival or back-off
+  // expiry): admit a fresh copy into the picked chip's queue, or back the
+  // client off, or shed once the retry budget is spent. With failover and
+  // a fully-dark fleet, park until a recovery without charging the retry
+  // budget.
+  void dispatch(Request req, double event_s, bool fresh) {
+    PendingRequest* pr = ledger_.find(req.id);
+    NTSERV_ENSURES(pr != nullptr, "dispatch of an untracked request " + context());
+    const bool crit = critical(req.tenant);
+    if (shed_by_brownout(crit, fresh)) {
+      // Brownout shed: deliberate load shedding under the ladder, booked
+      // in the same shed column (the tiling invariant holds) plus the
+      // brownout attribution so a post-mortem can split deliberate from
+      // overload shed.
+      ++r_.tenants[static_cast<std::size_t>(req.tenant)].brownout_shed;
+      shed(req, event_s, obs::EventKind::kBrownoutShed);
+      return;
+    }
+    const int server = pick_server(req);
+    if (server < 0) {
+      back_off(*pr, req, event_s, /*charge=*/false);
+      return;
+    }
+    if (fleet_.admission_.admit(chip(server).outstanding(), fleet_.cores_per_server())) {
+      enqueue(*pr, req, server, event_s, Placement::kPrimary);
+      if (res_.hedging && !pr->hedged && pr->live.size() == 1 && fleet_.servers() > 1 &&
+          !hedge_suppressed(crit)) {
+        ledger_.hedges.push({event_s + hedge_delay(), req.id, req.id});
+      }
+      return;
+    }
+    if (fleet_.admission_.may_retry(req.attempts)) {
+      back_off(*pr, req, event_s, /*charge=*/true);
+      return;
+    }
+    shed(req, event_s, obs::EventKind::kShed);
+  }
+
+  void shed(const Request& req, double event_s, obs::EventKind kind) {
+    ++r_.tenants[static_cast<std::size_t>(req.tenant)].shed;
+    if (fleet_.trace_ != nullptr) {
+      fleet_.trace_->emit(kind, /*chip=*/-1, event_s, req.tenant,
+                          static_cast<std::int64_t>(req.id));
+    }
+    dispose(req.id);
+  }
+
+  // Dispatch the hedged duplicates falling due: a different healthy chip,
+  // admitted through the same controller; a rejected hedge is simply
+  // dropped (it is opportunistic — the primary still runs).
+  void dispatch_hedges() {
+    auto& hedges = ledger_.hedges;
+    while (!hedges.empty() && hedges.top().due_s <= now_s_) {
+      const Timer h = hedges.top();
+      hedges.pop();
+      PendingRequest* pr = ledger_.find(h.id);
+      if (pr == nullptr) continue;                   // already resolved
+      if (pr->hedged || pr->live.empty()) continue;  // one hedge max; back-off limbo
+      // Re-check at fire time: the ladder may have escalated since the
+      // hedge was scheduled, and a hedge is pure extra load.
+      if (hedge_suppressed(critical(pr->proto.tenant))) continue;
+      // Cross-domain placement: prefer a healthy chip in a *different*
+      // failure domain (a hedge against the primary's rack dying),
+      // falling back to any healthy chip via the tier scheme.
+      const int primary = pr->live.front().server;
+      const int server = least_loaded(
+          /*healthy_only=*/true, /*exclude=*/primary,
+          /*avoid_domain=*/fleet_.chip_domain_[static_cast<std::size_t>(primary)]);
+      if (server >= 0 &&
+          fleet_.admission_.admit(chip(server).outstanding(), fleet_.cores_per_server())) {
+        enqueue(*pr, pr->proto, server, h.due_s, Placement::kHedge);
+      }
+    }
+  }
+
+  // Every copy that reaches a chip queue — primary, hedge, or failover
+  // redispatch — goes through here, so the live-copy list, the admitted
+  // count, the per-group dispatch ledger (routed fleets), the breakers'
+  // dispatch window and the copy's deadline stay consistent by
+  // construction.
+  void enqueue(PendingRequest& pr, Request req, int server, double event_s, Placement how) {
+    ChipServer& target = chip(server);
+    TenantResult& row = r_.tenants[static_cast<std::size_t>(req.tenant)];
+    req.server = server;
+    obs::EventKind kind = obs::EventKind::kRedispatch;
+    if (how == Placement::kRedispatch) {
+      ++row.redispatched;
+    } else {
+      req.copy = ledger_.next_copy();
+      req.hedge = how == Placement::kHedge;
+      pr.proto.attempts = req.attempts;
+      ++r_.admitted;
+      if (!fleet_.breakers_.empty()) {
+        fleet_.breakers_[static_cast<std::size_t>(server)].record_dispatch();
+      }
+      if (!r_.group_dispatches.empty()) {
+        ++r_.group_dispatches[static_cast<std::size_t>(target.group())];
+      }
+      kind = req.hedge ? obs::EventKind::kHedge : obs::EventKind::kDispatch;
+      if (req.hedge) {
+        pr.hedged = true;
+        ++row.hedged;
+      }
+    }
+    target.queue().push_back(req);
+    pr.live.push_back({req.copy, server});
+    if (fleet_.trace_ != nullptr) {
+      fleet_.trace_->emit(kind, server, event_s, req.tenant, static_cast<std::int64_t>(req.id));
+    }
+    // A redispatched copy keeps its original deadline, and the crash that
+    // moved it already marked the request damaged.
+    if (how == Placement::kRedispatch) return;
+    if (target.down() || target.degraded()) ledger_.mark_damaged(pr);
+    if (timeout_s_ > 0.0) {
+      ledger_.deadlines.push({event_s + timeout_for(critical(req.tenant)), req.copy, req.id});
+    }
+  }
+
+  // Back the client off: its next dispatch attempt falls due after the
+  // admission back-off schedule's delay, announced as a kRetry event. A
+  // charged back-off (admission reject, timeout) spends one attempt of
+  // the shared retry budget; an uncharged one parks the request while the
+  // fleet is fully dark.
+  void back_off(PendingRequest& pr, Request req, double event_s, bool charge) {
+    const double due =
+        event_s + fleet_.admission_.retry_delay(charge ? req.attempts : 0).value();
+    if (fleet_.trace_ != nullptr) {
+      fleet_.trace_->emit(obs::EventKind::kRetry, /*chip=*/-1, event_s, req.tenant,
+                          static_cast<std::int64_t>(req.id), /*value=*/0.0, /*aux_s=*/due);
+    }
+    if (charge) {
+      ++r_.retries;
+      ++req.attempts;
+      pr.proto.attempts = req.attempts;
+    }
+    ledger_.retries.push(RetryEntry{due, req});
+  }
+
+  void dispose(std::uint64_t id) {
+    ledger_.dispose(id);
+    note_recovery();
+  }
+
+  [[nodiscard]] int pick_server(const Request& req) {
+    // With failover the dispatcher is health-aware: every policy confines
+    // itself to chips that are up, and -1 reports a fully-dark fleet.
+    // Without it the dispatcher is deliberately health-blind — the
+    // baseline every failover comparison is made against.
+    const bool avoid_down = res_.failover;
+    const int n = fleet_.servers();
+    if (fleet_.router_) {
+      // Tech routing supersedes the balance policy: the router's standing
+      // preference (updated at the barrier) picks the group, least-loaded
+      // picks within it; a group with no serving chip falls back
+      // fleet-wide and the miss is recorded.
+      orch::MultiFleetRouter& router = *fleet_.router_;
+      const int pg = router.preferred_group(critical(req.tenant));
+      const int best = least_outstanding(
+          [&](int s) { return serving(s) && chip(s).group() == pg ? 0 : -1; });
+      if (best >= 0) {
+        router.note_dispatch(pg, /*fallback=*/false);
+        return best;
+      }
+      const int fb = least_loaded(avoid_down);
+      if (fb >= 0) router.note_dispatch(chip(fb).group(), /*fallback=*/true);
+      return fb;
+    }
+    switch (fleet_.config_.policy) {
+      case BalancePolicy::kRoundRobin: {
+        for (int tried = 0; tried < n; ++tried) {
+          const int s = round_robin_next_;
+          round_robin_next_ = (round_robin_next_ + 1) % n;
+          if (serving(s)) return s;
+        }
+        // Every chip parked/draining/down: the least-loaded fallback still
+        // finds a draining chip, so work is never stranded.
+        return least_loaded(avoid_down);
+      }
+      case BalancePolicy::kLeastLoaded:
+        return least_loaded(avoid_down);
+      case BalancePolicy::kPowerAware: {
+        // Pack in index order while a chip has headroom; beyond that fall
+        // back to least-loaded so saturation degrades gracefully.
+        const double cap = kPackDepthPerCore * static_cast<double>(fleet_.cores_per_server());
+        for (int s = 0; s < n; ++s) {
+          if (serving(s) && static_cast<double>(chip(s).outstanding()) < cap) return s;
+        }
+        return least_loaded(avoid_down);
+      }
+      case BalancePolicy::kGovernorAware: {
+        const int base = least_loaded(avoid_down);
+        if (base < 0) return -1;             // fully-dark fleet
+        if (!fleet_.governed_) return base;  // nothing to anticipate open-loop
+        if (!critical(req.tenant)) return base;  // batch work soaks any chip
+        // Steer latency-critical work onto chips that are neither
+        // mid-transition nor about to descend at the next epoch boundary
+        // (the governor's pending decision, previewed via peek; the
+        // running epoch is trusted once a quarter of it has elapsed).
+        const double peek_window_s = 0.25 * epoch_len_s_;
+        const int best = least_outstanding([&](int s) {
+          const bool steady = serving(s) && !chip(s).in_transition(now_s_) &&
+                              !chip(s).pending_descent(now_s_, epoch_start_s_, peek_window_s);
+          return steady ? 0 : -1;
+        });
+        if (best < 0) return base;  // every chip descending: nowhere to steer
+        if (best != base) ++r_.steered;
+        return best;
+      }
+    }
+    return 0;
+  }
+
+  // Least-outstanding chip; with `healthy_only`, crashed chips are
+  // excluded and -1 means none are up. `exclude` skips one chip (hedge
+  // placement: the duplicate must race a different chip). Chips in
+  // `avoid_domain` (hedge placement), draining chips and breaker-open
+  // chips are progressively worse tiers — used only when nothing better
+  // serves, so work is never stranded. Parked chips never take work.
+  [[nodiscard]] int least_loaded(bool healthy_only, int exclude = -1,
+                                 int avoid_domain = -1) const {
+    return least_outstanding([&](int s) {
+      const ChipServer& c = chip(s);
+      if (s == exclude || c.parked() || (healthy_only && c.down())) return -1;
+      const int domain = fleet_.chip_domain_[static_cast<std::size_t>(s)];
+      return (avoid_domain >= 0 && domain == avoid_domain ? 1 : 0) + (c.draining() ? 2 : 0) +
+             (breaker_open(s) ? 4 : 0);
+    });
+  }
+
+  /// The chip in the lowest `tier` (negative = ineligible), then with the
+  /// fewest outstanding requests, then the lowest index; -1 if none.
+  template <typename Tier>
+  [[nodiscard]] int least_outstanding(Tier tier) const {
+    int best = -1, best_tier = 0;
+    for (int s = 0; s < fleet_.servers(); ++s) {
+      const int t = tier(s);
+      if (t < 0) continue;
+      if (best < 0 || t < best_tier ||
+          (t == best_tier && chip(s).outstanding() < chip(best).outstanding())) {
+        best = s;
+        best_tier = t;
+      }
+    }
+    return best;
+  }
+
+  [[nodiscard]] bool breaker_open(int s) const {
+    const auto& breakers = fleet_.breakers_;
+    return !breakers.empty() && !breakers[static_cast<std::size_t>(s)].allow_dispatch();
+  }
+
+  [[nodiscard]] bool serving(int s) const {
+    const ChipServer& c = chip(s);
+    // An open breaker leaves the chip to least_loaded's fallback tier.
+    if (c.parked() || c.draining() || breaker_open(s)) return false;
+    return !res_.failover || !c.down();
+  }
 
   // The ladder's restrictions, queried at dispatch time. Latency-critical
   // traffic is never restricted; batch traffic loses progressively more.
-  auto shed_by_brownout = [&](bool critical, bool fresh_arrival) {
-    if (critical || stage < ctrl::BrownoutStage::kShedBatch) return false;
-    if (stage >= ctrl::BrownoutStage::kCriticalOnly) return true;  // retries too
+  [[nodiscard]] bool shed_by_brownout(bool critical, bool fresh_arrival) const {
+    if (critical || stage_ < ctrl::BrownoutStage::kShedBatch) return false;
+    if (stage_ >= ctrl::BrownoutStage::kCriticalOnly) return true;  // retries too
     return fresh_arrival;  // kShedBatch / kRelaxBatchQos: fresh arrivals only
-  };
-  auto hedge_suppressed = [&](bool critical) {
-    if (stage >= ctrl::BrownoutStage::kCriticalOnly) return true;
-    return !critical && stage >= ctrl::BrownoutStage::kRelaxBatchQos;
-  };
-  auto timeout_for = [&](bool critical) {
-    if (!critical && stage >= ctrl::BrownoutStage::kRelaxBatchQos) {
-      return timeout_s * config_.brownout.batch_timeout_relax;
+  }
+  [[nodiscard]] bool hedge_suppressed(bool critical) const {
+    if (stage_ >= ctrl::BrownoutStage::kCriticalOnly) return true;
+    return !critical && stage_ >= ctrl::BrownoutStage::kRelaxBatchQos;
+  }
+  [[nodiscard]] double timeout_for(bool critical) const {
+    if (!critical && stage_ >= ctrl::BrownoutStage::kRelaxBatchQos) {
+      return timeout_s_ * fleet_.config_.brownout.batch_timeout_relax;
     }
-    return timeout_s;
-  };
-
-  // ---- Per-epoch metric columns (registered once, before any snapshot) ----
-  struct ChipMetricIds {
-    obs::MetricsRegistry::Id queue, freq, power, util, breaker, parked, down;
-  };
-  struct FleetMetricIds {
-    obs::MetricsRegistry::Id offered, completed, shed, timed_out, retries;
-    obs::MetricsRegistry::Id p50, p95, p99, brownout, power, parked, in_flight;
-    obs::MetricsRegistry::Id latency_hist;
-  };
-  std::vector<ChipMetricIds> chip_metric_ids;
-  FleetMetricIds fm{};
-  if (metrics_ != nullptr) {
-    chip_metric_ids.reserve(chips_.size());
-    for (int s = 0; s < servers(); ++s) {
-      const std::string p = "chip" + std::to_string(s) + ".";
-      ChipMetricIds ids;
-      ids.queue = metrics_->gauge(p + "queue");
-      ids.freq = metrics_->gauge(p + "freq_ghz");
-      ids.power = metrics_->gauge(p + "power_w");
-      ids.util = metrics_->gauge(p + "util");
-      ids.breaker = metrics_->gauge(p + "breaker");
-      ids.parked = metrics_->gauge(p + "parked");
-      ids.down = metrics_->gauge(p + "down");
-      chip_metric_ids.push_back(ids);
-    }
-    fm.offered = metrics_->counter("fleet.offered");
-    fm.completed = metrics_->counter("fleet.completed");
-    fm.shed = metrics_->counter("fleet.shed");
-    fm.timed_out = metrics_->counter("fleet.timed_out");
-    fm.retries = metrics_->counter("fleet.retries");
-    fm.p50 = metrics_->gauge("fleet.p50_us");
-    fm.p95 = metrics_->gauge("fleet.p95_us");
-    fm.p99 = metrics_->gauge("fleet.p99_us");
-    fm.brownout = metrics_->gauge("fleet.brownout_stage");
-    fm.power = metrics_->gauge("fleet.power_w");
-    fm.parked = metrics_->gauge("fleet.parked_chips");
-    fm.in_flight = metrics_->gauge("fleet.in_flight");
-    fm.latency_hist = metrics_->histogram("fleet.latency_us");
+    return timeout_s_;
   }
 
-  // Snapshot the fleet for the orchestration controllers (live queue
-  // depths, last closed epoch's utilization).
-  auto chip_status = [&] {
-    std::vector<orch::ChipStatus> status(chips_.size());
-    for (std::size_t s = 0; s < chips_.size(); ++s) {
-      const ChipServer& chip = *chips_[s];
-      status[s].chip = static_cast<int>(s);
-      status[s].group = chip.group();
-      status[s].down = chip.down();
-      status[s].parked = chip.parked();
-      status[s].draining = chip.draining();
-      status[s].outstanding = chip.outstanding();
-      status[s].utilization = chip.last_epoch_utilization();
-      status[s].floor_power = chip.floor_power();
+  // Hedge delay: the tail-at-scale rule — a multiple of the measured
+  // running p95, with a configured floor until enough completions exist
+  // for the estimate to be a tail.
+  [[nodiscard]] double hedge_delay() const {
+    if (latency_.tail.count() >= res_.hedge_warmup && latency_.tail.p95() > 0.0) {
+      return res_.hedge_multiplier * latency_.tail.p95();
     }
-    return status;
-  };
+    return res_.hedge_min_delay.value();
+  }
 
-  // Close the epoch on every chip: record, charge energy, and (unless
-  // final) take each chip's next decision, beginning its transition
-  // stall on a change. Orchestration lives at this barrier too: cap
-  // budgets are refreshed *before* the chips close (so each governor's
-  // decide() is clamped by the budget its queue earned), routing and
-  // scaling react *after* (to the freshly measured epoch).
-  auto close_epochs = [&](bool final_partial) {
-    obs::PhaseTimers::Scope barrier_scope(timers_, "epoch-barrier");
+  // ---- Timeouts and completions ----
+
+  // Expire per-attempt timeouts due by now: abandon the late copy; once
+  // no copy is left racing, retry through the admission back-off schedule
+  // or dispose the request as timed out.
+  void expire_deadlines() {
+    auto& deadlines = ledger_.deadlines;
+    while (!deadlines.empty() && deadlines.top().due_s <= now_s_) {
+      const Timer d = deadlines.top();
+      deadlines.pop();
+      PendingRequest* pr = ledger_.find(d.id);
+      if (pr == nullptr) continue;  // request already resolved
+      const auto lit = pr->find_copy(d.key);
+      if (lit == pr->live.end()) continue;  // copy already resolved
+      if (!fleet_.breakers_.empty()) {
+        fleet_.breakers_[static_cast<std::size_t>(lit->server)].record_failure();
+      }
+      ledger_.cancel(*lit, chip(lit->server).queue());
+      pr->live.erase(lit);
+      if (!pr->live.empty()) continue;  // a sibling copy is still racing
+      if (fleet_.admission_.may_retry(pr->proto.attempts)) {
+        back_off(*pr, pr->proto, d.due_s, /*charge=*/true);
+        continue;
+      }
+      ++r_.tenants[static_cast<std::size_t>(pr->proto.tenant)].timed_out;
+      if (fleet_.trace_ != nullptr) {
+        fleet_.trace_->emit(obs::EventKind::kTimeout, /*chip=*/-1, d.due_s, pr->proto.tenant,
+                            static_cast<std::int64_t>(d.id));
+      }
+      dispose(d.id);
+    }
+  }
+
+  // Resolve the race between a request's copies: the first live copy to
+  // complete wins; every sibling is cancelled and the request is
+  // disposed. Late completions of abandoned copies are counted as wasted
+  // work, never measured twice.
+  void complete(const Request& req) {
+    // Any completion — even of an abandoned copy — proves the chip can
+    // serve, so the breaker credit lands before the dead-copy discard.
+    if (!fleet_.breakers_.empty()) {
+      fleet_.breakers_[static_cast<std::size_t>(req.server)].record_success();
+    }
+    if (ledger_.discard(req.copy)) {
+      ++r_.wasted_completions;
+      return;
+    }
+    PendingRequest* pr = ledger_.find(req.id);
+    NTSERV_ENSURES(pr != nullptr, "completion for an unknown request " + context());
+    const auto lit = pr->find_copy(req.copy);
+    NTSERV_ENSURES(lit != pr->live.end(),
+                   "completion for a copy that is neither live nor dead " + context());
+    pr->live.erase(lit);
+    for (const LiveCopy& other : pr->live) ledger_.cancel(other, chip(other.server).queue());
+    pr->live.clear();
+    if (req.hedge) ++r_.hedge_wins;
+    if (fleet_.trace_ != nullptr) {
+      fleet_.trace_->emit(obs::EventKind::kComplete, req.server, req.completion_s, req.tenant,
+                          static_cast<std::int64_t>(req.id), /*value=*/req.latency_s(),
+                          /*aux_s=*/req.start_s, req.core);
+    }
+    measure(req, pr->damaged || fault_active());
+    dispose(req.id);
+  }
+
+  void measure(const Request& req, bool damaged) {
+    TenantState& tenant = tenants_[static_cast<std::size_t>(req.tenant)];
+    TenantResult& row = r_.tenants[static_cast<std::size_t>(req.tenant)];
+    ++row.completed_all;
+    if (req.tenant_seq < tenant.spec->warmup_requests) return;
+    if (fleet_.metrics_ != nullptr) {
+      fleet_.metrics_->observe(fm_.latency_hist, req.latency_s() * 1e6);
+    }
+    latency_.add(req);
+    tenant.latency.add(req);
+    ++row.completed;
+    const double limit = tenant.spec->qos_p99_limit.value();
+    if (limit > 0.0 && req.latency_s() > limit) {
+      ++row.sla_violations;
+      if (damaged) ++row.degraded_sla_violations;
+    }
+  }
+
+  // ---- Fault delivery ----
+
+  // Deliver one fault event to its chip (and, for crashes under failover,
+  // to the dispatcher).
+  void apply_fault(const fault::FaultEvent& e) {
+    ChipServer& c = chip(e.chip);
+    const auto idx = static_cast<std::size_t>(e.chip);
+    if (r_.faults_injected++ == 0) r_.first_fault = Second{e.at_s};
+    recovered_at_ = -1.0;  // a new fault reopens the recovery window
+    switch (e.kind) {
+      case fault::FaultKind::kCrash:
+        // A domain-tagged crash is one chip of a correlated outage: arm
+        // the autoscaler's emergency wake for the next barrier.
+        if (e.domain >= 0) domain_outage_pending_ = true;
+        if (c.down()) return;  // scripted double-crash: idempotent
+        ++chips_down_;
+        crash(e.chip);
+        break;
+      case fault::FaultKind::kRecover:
+        if (!c.down()) return;
+        --chips_down_;
+        c.recover(now_s_);
+        break;
+      case fault::FaultKind::kDegrade:
+        // A degrade is a serving failure from the breaker's viewpoint:
+        // errors on this chip count toward its trip rate.
+        if (!fleet_.breakers_.empty()) fleet_.breakers_[idx].record_failure();
+        if (chip_degraded_[idx] == 0) {
+          chip_degraded_[idx] = 1;
+          ++chips_degraded_;
+        }
+        c.degrade(e.freq_cap, e.core_cap);
+        c.notify_error();  // governor guardband engages
+        ledger_.damage_residents(e.chip);
+        break;
+      case fault::FaultKind::kRestore:
+        if (chip_degraded_[idx] == 1) {
+          chip_degraded_[idx] = 0;
+          --chips_degraded_;
+        }
+        c.restore();
+        break;
+      case fault::FaultKind::kDomainOutage:
+      case fault::FaultKind::kThermalEmergency:
+        // Domain-level kinds expand to per-chip primitives when the
+        // schedule is resolved; the injector never delivers them.
+        NTSERV_EXPECTS(false, "unexpanded domain-level fault reached delivery " + context());
+        break;
+    }
+    note_recovery();
+  }
+
+  void crash(int s) {
+    ChipServer& victim = chip(s);
+    std::vector<Request> victims = victim.crash(now_s_);
+    ledger_.damage_residents(s);
+    if (!res_.failover) {
+      // Health-blind dispatch: the in-flight losses restart on this same
+      // chip at recovery, ahead of the queued backlog (they are older),
+      // and the queue waits out the outage.
+      for (auto rit = victims.rbegin(); rit != victims.rend(); ++rit) {
+        victim.queue().push_front(*rit);
+      }
+      return;
+    }
+    // Health-aware failover: in-flight losses first (they are the oldest
+    // work), then the drained queue, each re-placed on the least-loaded
+    // healthy chip. Re-placement bypasses admission — the balancer must
+    // land displaced work somewhere.
+    auto& qd = victim.queue();
+    victims.insert(victims.end(), qd.begin(), qd.end());
+    qd.clear();
+    for (const Request& r : victims) {
+      PendingRequest* pr = ledger_.find(r.id);
+      NTSERV_ENSURES(pr != nullptr, "crash victim is untracked " + context());
+      pr->live.erase(pr->find_copy(r.copy));
+      const int target = least_loaded(/*healthy_only=*/true);
+      if (target >= 0) {
+        enqueue(*pr, r, target, now_s_, Placement::kRedispatch);
+      } else {
+        // Fully-dark fleet: back to the client as a parked retry.
+        back_off(*pr, pr->proto, now_s_, /*charge=*/false);
+      }
+    }
+  }
+
+  [[nodiscard]] bool fault_active() const { return chips_down_ > 0 || chips_degraded_ > 0; }
+
+  // The recovery point: every fault window closed *and* every request a
+  // window touched disposed — the backlog a crash leaves behind is part
+  // of the outage, not of normal operation. A later fault reopens it.
+  void note_recovery() {
+    if (r_.faults_injected == 0 || recovered_at_ >= 0.0) return;
+    if (!fault_active() && ledger_.damaged() == 0) recovered_at_ = now_s_;
+  }
+
+  // ---- Data plane ----
+  //
+  // Between barriers, each shard advances its contiguous chip range on
+  // its own worker. ChipServer::advance is chip-local by construction
+  // (clusters, slots, queue, accounting — it never touches fleet or trace
+  // state) and appends its completions to the shard's buffer in
+  // deterministic cluster-major order per chip. The buffers are drained
+  // serially, shard after shard, after the quantum's barrier: ascending
+  // chip index, exactly the order the serial loop completed requests in.
+  // Every shard count and thread count (including the 1-shard serial
+  // plan, which runs the same path) thus produces bit-identical results
+  // and telemetry.
+
+  void advance_shard(std::size_t i) {
+    const ShardRange& sh = plan_.shards[i];
+    for (int s = sh.first_chip; s < sh.first_chip + sh.chips; ++s) {
+      ChipServer& c = chip(s);
+      if (c.in_transition(now_s_)) continue;  // voltage domain mid-swing
+      c.advance(now_s_, dt_, FleetConfig::quantum, done_[i]);
+    }
+  }
+
+  void advance_chips() {
+    if (pool_ == nullptr) {
+      for (std::size_t i = 0; i < done_.size(); ++i) advance_shard(i);
+    } else {
+      pool_->run_indexed(done_.size(), [this](std::size_t i) { advance_shard(i); });
+    }
+    for (auto& buffer : done_) {
+      for (const Request& req : buffer) complete(req);
+      buffer.clear();
+    }
+  }
+
+  // Whole fleet idle: every chip would sleep, so jump straight to the
+  // next event — arrival, back-off expiry, timeout, hedge, fault, or a
+  // stalled chip's transition end when it has queued work — on the
+  // base-frequency cycle grid (the fleet-level analogue of event
+  // skipping; the skipped span is credited to sleep in the energy
+  // accounting). Governed runs additionally stop at the epoch boundary so
+  // every chip's governor observes every epoch, idle or not. Returns
+  // false when nothing is left to wait for.
+  [[nodiscard]] bool skip_idle() {
+    const std::size_t t = next_arrival_tenant();
+    double next_event = t < tenants_.size() ? tenants_[t].next_arrival_s
+                                            : std::numeric_limits<double>::infinity();
+    const auto& l = ledger_;
+    if (!l.retries.empty()) next_event = std::min(next_event, l.retries.top().due_s);
+    if (!l.deadlines.empty()) next_event = std::min(next_event, l.deadlines.top().due_s);
+    if (!l.hedges.empty()) next_event = std::min(next_event, l.hedges.top().due_s);
+    if (injector_ != nullptr) next_event = std::min(next_event, injector_->next_time());
+    for (const auto& c : fleet_.chips_) {
+      if (c->in_transition(now_s_) && !c->queue().empty()) {
+        next_event = std::min(next_event, c->stall_until());
+      }
+    }
+    if (!std::isfinite(next_event)) {
+      // The last request can be disposed *inside* this iteration (a
+      // timeout expiry with the fleet already idle).
+      if (ledger_.disposed() >= total_) return false;
+      // A crashed chip that never recovers can strand its queue (and,
+      // health-blind, its in-flight work) with no future event: run out
+      // the clock so the stranded requests surface as in_flight on a
+      // truncated result instead of tripping the invariant below.
+      if (chips_down_ > 0) {
+        now_s_ = max_s_;
+        return true;
+      }
+      NTSERV_EXPECTS(false, "idle fleet with requests unaccounted for " + context());
+    }
+    double target =
+        std::max(now_s_ + 1.0 / base_f_, std::ceil(next_event * base_f_) / base_f_);
+    if (fleet_.governed_) target = std::min(target, epoch_start_s_ + epoch_len_s_);
+    now_s_ = std::min(target, max_s_);
+    return true;
+  }
+
+  // ---- Epoch barrier ----
+  //
+  // One fixed order: cap split -> chip close -> brownout -> breakers ->
+  // router -> autoscaler -> metrics -> trace merge. Cap budgets are
+  // refreshed *before* the chips close (so each governor's decide() is
+  // clamped by the budget its queue earned); the ladder, breakers,
+  // routing and scaling react *after* (to the freshly measured epoch).
+
+  void close_epoch(bool final_partial) {
+    obs::PhaseTimers::Scope barrier_scope(fleet_.timers_, "epoch-barrier");
     // Merge watermark: only events at or before the *closing* epoch's
     // start are final — a timeout processed just after this barrier may
     // carry a due time just before it (late by at most one delivery lag),
     // and admitting it into the merged stream later would break the
     // append-only determinism contract.
     const double trace_watermark = epoch_start_s_;
-    const double duration = now_s - epoch_start_s_;
-    if (capper_) {
-      const auto status = chip_status();
-      Watt reserved{0.0};
-      for (const auto& st : status) {
-        if (st.parked && !st.down) {
-          reserved += managers_[static_cast<std::size_t>(st.group)]->sleep_power();
-        }
+    const double duration = now_s_ - epoch_start_s_;
+    if (fleet_.capper_) fleet_.split_power_cap(chip_status(), /*apply_now=*/false);
+    const double epoch_energy_j = close_chips(duration, final_partial);
+    if (!final_partial) {
+      if (fleet_.brownout_) step_brownout();
+      for (auto& b : fleet_.breakers_) {
+        b.close_epoch();
+        if (b.state() == ctrl::BreakerState::kOpen) ++r_.breaker_open_epochs;
       }
-      const std::vector<Watt> budgets = capper_->split(status, reserved);
-      for (std::size_t s = 0; s < chips_.size(); ++s) {
-        chips_[s]->set_power_budget(budgets[s]);
-      }
+      if (fleet_.router_) fleet_.router_->observe_epoch(epoch_index_, chip_status());
+      if (fleet_.autoscaler_) step_autoscaler();
     }
+    if (fleet_.metrics_ != nullptr) snapshot_metrics(duration, epoch_energy_j);
+    if (fleet_.trace_ != nullptr) fleet_.trace_->merge(trace_watermark);
+    ++epoch_index_;
+    epoch_start_s_ = now_s_;
+  }
+
+  // Close the epoch on every chip: record it, charge its energy, and
+  // (unless final) take each chip's next decision, beginning its
+  // transition stall on a change. Returns the epoch's fleet energy.
+  [[nodiscard]] double close_chips(double duration, bool final_partial) {
     double epoch_energy_j = 0.0;
-    std::vector<double> chip_power_w;
-    if (metrics_ != nullptr) chip_power_w.assign(chips_.size(), 0.0);
-    for (std::size_t s = 0; s < chips_.size(); ++s) {
-      auto& chip = chips_[s];
-      auto outcome = chip->close_epoch(now_s, duration, epoch_index, final_partial);
+    if (fleet_.metrics_ != nullptr) chip_power_w_.assign(fleet_.chips_.size(), 0.0);
+    for (std::size_t s = 0; s < fleet_.chips_.size(); ++s) {
+      ChipServer& c = *fleet_.chips_[s];
+      const auto outcome = c.close_epoch(now_s_, duration, epoch_index_, final_partial);
       if (!outcome.emitted) continue;
-      energy_j += outcome.energy_j;
+      const ctrl::EpochRecord& rec = outcome.record;
+      r_.energy += Joule{outcome.energy_j};
       epoch_energy_j += outcome.energy_j;
-      if (metrics_ != nullptr && duration > 0.0) {
-        chip_power_w[s] = outcome.energy_j / duration;
+      if (fleet_.metrics_ != nullptr && duration > 0.0) {
+        chip_power_w_[s] = outcome.energy_j / duration;
       }
-      if (!group_energy_j.empty()) {
-        group_energy_j[static_cast<std::size_t>(chip->group())] += outcome.energy_j;
+      if (!r_.group_energy.empty()) {
+        r_.group_energy[static_cast<std::size_t>(c.group())] += Joule{outcome.energy_j};
       }
-      if (outcome.transition_s > 0.0) ++transitions;
-      // Recorded per-epoch overlaps sum to the realized stall time, so
-      // the records and the total stay consistent by construction.
-      total_transition += outcome.record.transition_time;
-      if (outcome.record.transition) ++transition_epochs;
-      if (outcome.record.violation) ++violations;
-      if (outcome.record.margin > 0.0) ++guardband_epochs;
-      if (outcome.record.capped) ++cap_clamp_epochs;
-      epoch_records.push_back(outcome.record);
+      if (outcome.transition_s > 0.0) ++r_.transitions;
+      // Recorded per-epoch overlaps sum to the realized stall time, so the
+      // records and the total stay consistent by construction.
+      r_.transition_time_total += rec.transition_time;
+      if (rec.transition) ++r_.transition_epochs;
+      if (rec.violation) ++r_.qos_violation_epochs;
+      if (rec.margin > 0.0) ++r_.guardband_epochs;
+      if (rec.capped) ++r_.cap_clamp_epochs;
+      r_.epochs.push_back(rec);
     }
     if (duration > 0.0) {
       const double realized_power = epoch_energy_j / duration;
-      peak_epoch_power = std::max(peak_epoch_power, realized_power);
-      if (capper_ &&
-          realized_power > capper_->config().fleet_cap.value() * (1.0 + 1e-9)) {
-        ++cap_violation_epochs;
+      r_.peak_epoch_power = Watt{std::max(r_.peak_epoch_power.value(), realized_power)};
+      if (fleet_.capper_ &&
+          realized_power > fleet_.capper_->config().fleet_cap.value() * (1.0 + 1e-9)) {
+        ++r_.cap_violation_epochs;
       }
     }
-    if (!final_partial && brownout_) {
-      // Overload pressure: outstanding work per serving core. A fleet
-      // with nothing serving but work outstanding is infinitely
-      // pressured — the ladder pins at its maximum stage until capacity
-      // returns.
-      std::uint64_t outstanding_total = 0;
-      int serving_cores = 0;
-      for (const auto& chip : chips_) {
-        outstanding_total += static_cast<std::uint64_t>(chip->outstanding());
-        if (!chip->down() && !chip->parked() && !chip->draining()) {
-          serving_cores += cores_per_server();
-        }
-      }
-      const double pressure =
-          serving_cores > 0
-              ? static_cast<double>(outstanding_total) / static_cast<double>(serving_cores)
-              : (outstanding_total > 0 ? 1e9 : 0.0);
-      stage = brownout_->observe(pressure);
-      // The stage set here governs the *upcoming* epoch's dispatches.
-      ++stage_epochs[static_cast<std::size_t>(stage)];
-      if (stage != ctrl::BrownoutStage::kNormal) {
-        ++brownout_epochs;
-        for (auto& tenant : tenants_) {
-          if (!tenant.spec.latency_critical) ++tenant.brownout_epochs;
-        }
-      }
-    }
-    if (!final_partial && !breakers_.empty()) {
-      for (auto& b : breakers_) {
-        b.close_epoch();
-        if (b.state() == ctrl::BreakerState::kOpen) ++breaker_open_epochs;
-      }
-    }
-    if (!final_partial && router_) router_->observe_epoch(epoch_index, chip_status());
-    if (!final_partial && autoscaler_) {
-      const bool emergency = domain_outage_pending;
-      domain_outage_pending = false;
-      bool acted = false;
-      for (const orch::ScaleDecision& d : autoscaler_->decide(chip_status(), emergency)) {
-        acted = true;
-        ChipServer& chip = *chips_[static_cast<std::size_t>(d.chip)];
-        switch (d.action) {
-          case orch::ScaleAction::kUnpark: {
-            // Warm/cold ladder: a recently-parked chip wakes at a
-            // fraction of the full latency.
-            const Second wake =
-                autoscaler_->config().wake_latency_for(now_s - chip.parked_since());
-            // Reporting slice only: the wake stall is charged through the
-            // overlapped epochs like any transition.
-            wake_energy_j += managers_[static_cast<std::size_t>(chip.group())]
-                                 ->wake_energy(chip.frequency(), wake)
-                                 .value();
-            chip.unpark(now_s, wake);
-            ++unparks;
-            if (emergency) ++emergency_wakes;
-            if (trace_ != nullptr) {
-              trace_->emit_now(obs::EventKind::kUnpark, d.chip, /*tenant=*/-1,
-                               /*id=*/emergency ? 1 : 0, /*value=*/wake.value());
-            }
-            break;
-          }
-          case orch::ScaleAction::kCancelDrain:
-            chip.cancel_drain();
-            if (trace_ != nullptr) trace_->emit_now(obs::EventKind::kCancelDrain, d.chip);
-            break;
-          case orch::ScaleAction::kDrain:
-            chip.begin_drain();
-            ++drains;
-            if (trace_ != nullptr) trace_->emit_now(obs::EventKind::kDrain, d.chip);
-            break;
-          case orch::ScaleAction::kPark:
-            // Re-check live state: the decision was made on a snapshot.
-            if (!chip.down() && !chip.parked() && chip.outstanding() == 0) {
-              chip.park(now_s);
-              ++parks;
-              if (trace_ != nullptr) trace_->emit_now(obs::EventKind::kPark, d.chip);
-            }
-            break;
-        }
-      }
-      if (acted && capper_) {
-        // The budgets split at the top of this barrier assumed the
-        // pre-action fleet; re-split over the post-action survivors so a
-        // newly-woken chip does not serve an entire epoch on a zero
-        // budget. Applied without a transition stall (same barrier).
-        const auto status = chip_status();
-        Watt reserved{0.0};
-        for (const auto& st : status) {
-          if (st.parked && !st.down) {
-            reserved += managers_[static_cast<std::size_t>(st.group)]->sleep_power();
-          }
-        }
-        const std::vector<Watt> budgets = capper_->split(status, reserved);
-        for (std::size_t s = 0; s < chips_.size(); ++s) {
-          chips_[s]->set_power_budget(budgets[s]);
-          chips_[s]->apply_power_budget();
-        }
-      }
-    }
-    if (metrics_ != nullptr) {
-      int parked_chips = 0;
-      for (std::size_t s = 0; s < chips_.size(); ++s) {
-        const ChipServer& chip = *chips_[s];
-        const ChipMetricIds& ids = chip_metric_ids[s];
-        metrics_->set(ids.queue, static_cast<double>(chip.outstanding()));
-        metrics_->set(ids.freq, chip.frequency().value() / 1e9);
-        metrics_->set(ids.power, chip_power_w[s]);
-        metrics_->set(ids.util, chip.last_epoch_utilization());
-        metrics_->set(ids.breaker,
-                      breakers_.empty()
-                          ? 0.0
-                          : static_cast<double>(static_cast<int>(breakers_[s].state())));
-        metrics_->set(ids.parked, chip.parked() ? 1.0 : 0.0);
-        metrics_->set(ids.down, chip.down() ? 1.0 : 0.0);
-        if (chip.parked()) ++parked_chips;
-      }
-      metrics_->set(fm.offered, static_cast<double>(fleet_sum(&TenantState::offered)));
-      metrics_->set(fm.completed,
-                    static_cast<double>(fleet_sum(&TenantState::completed_all)));
-      metrics_->set(fm.shed, static_cast<double>(fleet_sum(&TenantState::shed)));
-      metrics_->set(fm.timed_out, static_cast<double>(fleet_sum(&TenantState::timed_out)));
-      metrics_->set(fm.retries, static_cast<double>(retry_count));
-      metrics_->set(fm.p50, latency.count() > 0 ? latency.p50() * 1e6 : 0.0);
-      metrics_->set(fm.p95, latency.count() > 0 ? latency.p95() * 1e6 : 0.0);
-      metrics_->set(fm.p99, latency.count() > 0 ? latency.p99() * 1e6 : 0.0);
-      metrics_->set(fm.brownout, static_cast<double>(static_cast<int>(stage)));
-      metrics_->set(fm.power, duration > 0.0 ? epoch_energy_j / duration : 0.0);
-      metrics_->set(fm.parked, static_cast<double>(parked_chips));
-      metrics_->set(fm.in_flight, static_cast<double>(pending.size()));
-      metrics_->snapshot(epoch_index, now_s);
-    }
-    if (trace_ != nullptr) trace_->merge(trace_watermark);
-    ++epoch_index;
-    epoch_start_s_ = now_s;
-  };
+    return epoch_energy_j;
+  }
 
-  // Every disposal — completion, shed, timeout — retires the request's
-  // tracking entry through here, so `disposed`, the damage drain and the
-  // recovery point stay consistent by construction.
-  auto erase_pending = [&](std::unordered_map<std::uint64_t, PendingRequest>::iterator it) {
-    if (it->second.damaged) --damaged_live;
-    pending.erase(it);
-    ++disposed;
-    note_recovery(now_s);
-  };
-
-  auto measure_completion = [&](const Request& req, bool damaged) {
-    TenantState& tenant = tenants_[static_cast<std::size_t>(req.tenant)];
-    ++tenant.completed_all;
-    if (req.tenant_seq >= tenant.spec.warmup_requests) {
-      if (metrics_ != nullptr) metrics_->observe(fm.latency_hist, req.latency_s() * 1e6);
-      latency.add(req.latency_s());
-      latency_mean.add(req.latency_s());
-      wait_mean.add(req.wait_s());
-      ++tenant.completed_measured;
-      tenant.latency.add(req.latency_s());
-      tenant.latency_mean.add(req.latency_s());
-      tenant.wait_mean.add(req.wait_s());
-      const double limit = tenant.spec.qos_p99_limit.value();
-      if (limit > 0.0 && req.latency_s() > limit) {
-        ++tenant.sla_violations;
-        if (damaged) ++tenant.degraded_sla_violations;
-      } else {
-        ++good_completions;
+  void step_brownout() {
+    // Overload pressure: outstanding work per serving core. A fleet with
+    // nothing serving but work outstanding is infinitely pressured — the
+    // ladder pins at its maximum stage until capacity returns.
+    std::uint64_t outstanding_total = 0;
+    int serving_cores = 0;
+    for (const auto& c : fleet_.chips_) {
+      outstanding_total += static_cast<std::uint64_t>(c->outstanding());
+      if (!c->down() && !c->parked() && !c->draining()) {
+        serving_cores += fleet_.cores_per_server();
       }
     }
-  };
-
-  // Remove a cancelled copy from the fleet: dequeue it if it is still
-  // waiting, otherwise it is in service and its eventual completion is
-  // discarded as wasted work.
-  auto cancel_copy = [&](const LiveCopy& lc) {
-    auto& qd = chips_[static_cast<std::size_t>(lc.server)]->queue();
-    for (auto qit = qd.begin(); qit != qd.end(); ++qit) {
-      if (qit->copy == lc.copy) {
-        qd.erase(qit);
-        return;
-      }
-    }
-    dead_copies.insert(lc.copy);
-  };
-
-  // Chip completion sink: resolve the race between a request's copies.
-  // The first live copy to complete wins; every sibling is cancelled and
-  // the request is disposed. Late completions of abandoned copies are
-  // counted as wasted work, never measured twice.
-  const std::function<void(const Request&)> completion_sink = [&](const Request& req) {
-    // Any completion — even of an abandoned copy — proves the chip can
-    // serve, so the breaker credit lands before the dead-copy discard.
-    if (!breakers_.empty()) {
-      breakers_[static_cast<std::size_t>(req.server)].record_success();
-    }
-    if (dead_copies.erase(req.copy) > 0) {
-      ++wasted;
-      return;
-    }
-    auto it = pending.find(req.id);
-    NTSERV_ENSURES(it != pending.end(),
-                   "completion for an unknown request " +
-                       run_context(now_s, epoch_index, disposed, total));
-    PendingRequest& pr = it->second;
-    auto lit = std::find_if(pr.live.begin(), pr.live.end(),
-                            [&](const LiveCopy& c) { return c.copy == req.copy; });
-    NTSERV_ENSURES(lit != pr.live.end(),
-                   "completion for a copy that is neither live nor dead " +
-                       run_context(now_s, epoch_index, disposed, total));
-    pr.live.erase(lit);
-    for (const auto& other : pr.live) cancel_copy(other);
-    pr.live.clear();
-    if (req.hedge) ++hedge_wins;
-    if (trace_ != nullptr) {
-      trace_->emit(obs::EventKind::kComplete, req.server, req.completion_s, req.tenant,
-                   static_cast<std::int64_t>(req.id), /*value=*/req.latency_s(),
-                   /*aux_s=*/req.start_s, req.core);
-    }
-    measure_completion(req, pr.damaged || fault_active());
-    erase_pending(it);
-  };
-
-  // Hedge delay: the tail-at-scale rule — a multiple of the measured
-  // running p95, with a configured floor until enough completions exist
-  // for the estimate to be a tail.
-  auto hedge_delay = [&]() {
-    if (latency.count() >= res.hedge_warmup && latency.p95() > 0.0) {
-      return res.hedge_multiplier * latency.p95();
-    }
-    return res.hedge_min_delay.value();
-  };
-
-  // Every admission into a chip queue flows through here so the
-  // per-group dispatch ledger (routed fleets) stays consistent with the
-  // fleet-wide admitted count by construction.
-  auto note_admit = [&](int server) {
-    ++admitted;
-    if (!breakers_.empty()) {
-      breakers_[static_cast<std::size_t>(server)].record_dispatch();
-    }
-    if (!group_dispatches.empty()) {
-      const auto g =
-          static_cast<std::size_t>(chips_[static_cast<std::size_t>(server)]->group());
-      ++group_dispatches[g];
-    }
-  };
-
-  // One dispatch attempt at event time `event_s` (arrival, back-off
-  // expiry, or timeout retry): admit a fresh copy into the picked chip's
-  // queue, or back the client off, or shed once the retry budget is
-  // spent. With failover and a fully-dark fleet, park until a recovery
-  // without charging the retry budget.
-  auto dispatch = [&](Request req, double event_s, bool fresh) {
-    auto pit = pending.find(req.id);
-    NTSERV_ENSURES(pit != pending.end(),
-                   "dispatch of an untracked request " +
-                       run_context(now_s, epoch_index, disposed, total));
-    PendingRequest& pr = pit->second;
-    const bool critical =
-        tenants_[static_cast<std::size_t>(req.tenant)].spec.latency_critical;
-    if (shed_by_brownout(critical, fresh)) {
-      // Brownout shed: deliberate load shedding under the ladder, booked
-      // in the same shed column (the tiling invariant holds) plus the
-      // brownout attribution so a post-mortem can split deliberate from
-      // overload shed.
-      TenantState& tenant = tenants_[static_cast<std::size_t>(req.tenant)];
-      ++tenant.shed;
-      ++tenant.brownout_shed;
-      if (trace_ != nullptr) {
-        trace_->emit(obs::EventKind::kBrownoutShed, /*chip=*/-1, event_s, req.tenant,
-                     static_cast<std::int64_t>(req.id));
-      }
-      erase_pending(pit);
-      return;
-    }
-    const int server = pick_server(req, now_s);
-    if (server < 0) {
-      const double due = event_s + admission_.retry_delay(0).value();
-      if (trace_ != nullptr) {
-        trace_->emit(obs::EventKind::kRetry, /*chip=*/-1, event_s, req.tenant,
-                     static_cast<std::int64_t>(req.id), /*value=*/0.0, /*aux_s=*/due);
-      }
-      retries_.push(RetryEntry{due, req});
-      return;
-    }
-    req.server = server;
-    if (admission_.admit(outstanding(server), cores_per_server())) {
-      req.copy = ++copy_seq;
-      req.hedge = false;
-      auto& chip = *chips_[static_cast<std::size_t>(server)];
-      chip.queue().push_back(req);
-      note_admit(server);
-      if (trace_ != nullptr) {
-        trace_->emit(obs::EventKind::kDispatch, server, event_s, req.tenant,
-                     static_cast<std::int64_t>(req.id));
-      }
-      pr.live.push_back({req.copy, server});
-      pr.proto.attempts = req.attempts;
-      if (chip.down() || chip.degraded()) mark_damaged(pr);
-      if (timeout_s > 0.0) {
-        timeouts.push({event_s + timeout_for(critical), req.copy, req.id});
-      }
-      if (res.hedging && !pr.hedged && pr.live.size() == 1 && servers() > 1 &&
-          !hedge_suppressed(critical)) {
-        hedges.push({event_s + hedge_delay(), req.id});
-      }
-      return;
-    }
-    if (admission_.may_retry(req.attempts)) {
-      ++retry_count;
-      const double due = event_s + admission_.retry_delay(req.attempts).value();
-      if (trace_ != nullptr) {
-        trace_->emit(obs::EventKind::kRetry, /*chip=*/-1, event_s, req.tenant,
-                     static_cast<std::int64_t>(req.id), /*value=*/0.0, /*aux_s=*/due);
-      }
-      ++req.attempts;
-      pr.proto.attempts = req.attempts;
-      retries_.push(RetryEntry{due, req});
-      return;
-    }
-    ++tenants_[static_cast<std::size_t>(req.tenant)].shed;
-    if (trace_ != nullptr) {
-      trace_->emit(obs::EventKind::kShed, /*chip=*/-1, event_s, req.tenant,
-                   static_cast<std::int64_t>(req.id));
-    }
-    erase_pending(pit);
-  };
-
-  // Dispatch the hedged duplicate: a different healthy chip, admitted
-  // through the same controller; a rejected hedge is simply dropped (it
-  // is opportunistic — the primary still runs).
-  auto dispatch_hedge = [&](std::uint64_t id, double event_s) {
-    auto pit = pending.find(id);
-    if (pit == pending.end()) return;  // already resolved
-    PendingRequest& pr = pit->second;
-    if (pr.hedged || pr.live.empty()) return;  // one hedge max; back-off limbo
-    const bool critical =
-        tenants_[static_cast<std::size_t>(pr.proto.tenant)].spec.latency_critical;
-    // Re-check at fire time: the ladder may have escalated since the
-    // hedge was scheduled, and a hedge is pure extra load.
-    if (hedge_suppressed(critical)) return;
-    const int primary = pr.live.front().server;
-    // Cross-domain placement: prefer a healthy chip in a *different*
-    // failure domain (a hedge against the primary's rack dying), falling
-    // back to any healthy chip via the tier scheme.
-    const int server =
-        least_loaded(/*healthy_only=*/true, /*exclude=*/primary,
-                     /*avoid_domain=*/chip_domain_[static_cast<std::size_t>(primary)]);
-    if (server < 0) return;
-    auto& chip = *chips_[static_cast<std::size_t>(server)];
-    if (!admission_.admit(outstanding(server), cores_per_server())) return;
-    Request req = pr.proto;
-    req.server = server;
-    req.copy = ++copy_seq;
-    req.hedge = true;
-    chip.queue().push_back(req);
-    note_admit(server);
-    pr.live.push_back({req.copy, server});
-    pr.hedged = true;
-    ++tenants_[static_cast<std::size_t>(req.tenant)].hedged;
-    if (trace_ != nullptr) {
-      trace_->emit(obs::EventKind::kHedge, server, event_s, req.tenant,
-                   static_cast<std::int64_t>(id));
-    }
-    if (chip.down() || chip.degraded()) mark_damaged(pr);
-    if (timeout_s > 0.0) timeouts.push({event_s + timeout_for(critical), req.copy, id});
-  };
-
-  // Expire per-attempt timeouts due by `now_s`: abandon the late copy;
-  // once no copy is left racing, retry through the admission back-off
-  // schedule or dispose the request as timed out.
-  auto process_timeouts = [&]() {
-    while (!timeouts.empty() && timeouts.top().due_s <= now_s) {
-      const CopyDeadline d = timeouts.top();
-      timeouts.pop();
-      auto pit = pending.find(d.id);
-      if (pit == pending.end()) continue;  // request already resolved
-      PendingRequest& pr = pit->second;
-      auto lit = std::find_if(pr.live.begin(), pr.live.end(),
-                              [&](const LiveCopy& c) { return c.copy == d.copy; });
-      if (lit == pr.live.end()) continue;  // copy already resolved
-      if (!breakers_.empty()) {
-        breakers_[static_cast<std::size_t>(lit->server)].record_failure();
-      }
-      cancel_copy(*lit);
-      pr.live.erase(lit);
-      if (!pr.live.empty()) continue;  // a sibling copy is still racing
-      Request req = pr.proto;
-      if (admission_.may_retry(req.attempts)) {
-        ++retry_count;
-        const double due = d.due_s + admission_.retry_delay(req.attempts).value();
-        ++req.attempts;
-        pr.proto.attempts = req.attempts;
-        retries_.push(RetryEntry{due, req});
-        continue;
-      }
-      ++tenants_[static_cast<std::size_t>(pr.proto.tenant)].timed_out;
-      if (trace_ != nullptr) {
-        trace_->emit(obs::EventKind::kTimeout, /*chip=*/-1, d.due_s, pr.proto.tenant,
-                     static_cast<std::int64_t>(d.id));
-      }
-      erase_pending(pit);
-    }
-  };
-
-  auto process_hedges = [&]() {
-    while (!hedges.empty() && hedges.top().due_s <= now_s) {
-      const HedgeDue h = hedges.top();
-      hedges.pop();
-      dispatch_hedge(h.id, h.due_s);
-    }
-  };
-
-  // Deliver one fault event to its chip (and, for crashes under
-  // failover, to the dispatcher).
-  auto apply_fault = [&](const fault::FaultEvent& e) {
-    auto& chip = *chips_[static_cast<std::size_t>(e.chip)];
-    ++faults_injected;
-    if (first_fault_s < 0.0) first_fault_s = e.at_s;
-    recovered_at = -1.0;  // a new fault reopens the recovery window
-    const auto damage_residents = [&] {
-      for (auto& [id, pr] : pending) {
-        for (const auto& lc : pr.live) {
-          if (lc.server == e.chip) {
-            mark_damaged(pr);
-            break;
-          }
-        }
-      }
-    };
-    switch (e.kind) {
-      case fault::FaultKind::kCrash: {
-        // A domain-tagged crash is one chip of a correlated outage: arm
-        // the autoscaler's emergency wake for the next barrier.
-        if (e.domain >= 0) domain_outage_pending = true;
-        if (chip.down()) return;  // scripted double-crash: idempotent
-        ++chips_down;
-        std::vector<Request> victims = chip.crash(now_s);
-        damage_residents();
-        if (res.failover) {
-          // Health-aware failover: in-flight losses first (they are the
-          // oldest work), then the drained queue, each re-placed on the
-          // least-loaded healthy chip. Re-placement bypasses admission —
-          // the balancer must land displaced work somewhere.
-          auto& qd = chip.queue();
-          victims.insert(victims.end(), qd.begin(), qd.end());
-          qd.clear();
-          for (Request& r : victims) {
-            auto pit = pending.find(r.id);
-            NTSERV_ENSURES(pit != pending.end(),
-                           "crash victim is untracked " +
-                               run_context(now_s, epoch_index, disposed, total));
-            auto& live = pit->second.live;
-            live.erase(std::find_if(live.begin(), live.end(), [&](const LiveCopy& c) {
-              return c.copy == r.copy;
-            }));
-            const int target = least_loaded(/*healthy_only=*/true);
-            if (target >= 0) {
-              r.server = target;
-              chips_[static_cast<std::size_t>(target)]->queue().push_back(r);
-              live.push_back({r.copy, target});
-              ++tenants_[static_cast<std::size_t>(r.tenant)].redispatched;
-              if (trace_ != nullptr) {
-                trace_->emit_now(obs::EventKind::kRedispatch, target, r.tenant,
-                                 static_cast<std::int64_t>(r.id));
-              }
-            } else {
-              // Fully-dark fleet: back to the client as a parked retry.
-              const double due = now_s + admission_.retry_delay(0).value();
-              if (trace_ != nullptr) {
-                trace_->emit(obs::EventKind::kRetry, /*chip=*/-1, now_s, r.tenant,
-                             static_cast<std::int64_t>(r.id), /*value=*/0.0,
-                             /*aux_s=*/due);
-              }
-              retries_.push(RetryEntry{due, pit->second.proto});
-            }
-          }
-        } else {
-          // Health-blind dispatch: the in-flight losses restart on this
-          // same chip at recovery, ahead of the queued backlog (they are
-          // older), and the queue waits out the outage.
-          for (auto rit = victims.rbegin(); rit != victims.rend(); ++rit) {
-            chip.queue().push_front(*rit);
-          }
-        }
-        break;
-      }
-      case fault::FaultKind::kRecover:
-        if (!chip.down()) return;
-        --chips_down;
-        chip.recover(now_s);
-        break;
-      case fault::FaultKind::kDegrade:
-        // A degrade is a serving failure from the breaker's viewpoint:
-        // errors on this chip count toward its trip rate.
-        if (!breakers_.empty()) {
-          breakers_[static_cast<std::size_t>(e.chip)].record_failure();
-        }
-        if (chip_degraded[static_cast<std::size_t>(e.chip)] == 0) {
-          chip_degraded[static_cast<std::size_t>(e.chip)] = 1;
-          ++chips_degraded;
-        }
-        chip.degrade(e.freq_cap, e.core_cap);
-        chip.notify_error();  // governor guardband engages
-        damage_residents();
-        break;
-      case fault::FaultKind::kRestore:
-        if (chip_degraded[static_cast<std::size_t>(e.chip)] == 1) {
-          chip_degraded[static_cast<std::size_t>(e.chip)] = 0;
-          --chips_degraded;
-        }
-        chip.restore();
-        break;
-      case fault::FaultKind::kDomainOutage:
-      case fault::FaultKind::kThermalEmergency:
-        // Domain-level kinds expand to per-chip primitives when the
-        // schedule is resolved; the injector never delivers them.
-        NTSERV_EXPECTS(false, "unexpanded domain-level fault reached delivery " +
-                                  run_context(now_s, epoch_index, disposed, total));
-        break;
-    }
-    note_recovery(now_s);
-  };
-
-  // Earliest pending arrival across tenants; tenants_.size() when none.
-  auto next_arrival_tenant = [&]() -> std::size_t {
-    std::size_t best = tenants_.size();
+    const double pressure =
+        serving_cores > 0
+            ? static_cast<double>(outstanding_total) / static_cast<double>(serving_cores)
+            : (outstanding_total > 0 ? 1e9 : 0.0);
+    // The stage set here governs the *upcoming* epoch's dispatches.
+    stage_ = fleet_.brownout_->observe(pressure);
+    ++r_.brownout_stage_epochs[static_cast<std::size_t>(stage_)];
+    if (stage_ == ctrl::BrownoutStage::kNormal) return;
+    ++r_.brownout_epochs;
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
-      if (tenants_[t].offered >= tenants_[t].total) continue;
-      if (best == tenants_.size() ||
-          tenants_[t].next_arrival_s < tenants_[best].next_arrival_s) {
-        best = t;
-      }
+      if (!tenants_[t].spec->latency_critical) ++r_.tenants[t].brownout_epochs;
     }
-    return best;
-  };
-
-  // ---- Sharded data plane ----
-  // Between barriers, each shard advances its contiguous chip range on
-  // its own worker. ChipServer::advance is chip-local by construction
-  // (clusters, slots, queue, accounting — it never touches fleet or
-  // trace state), so the only cross-chip effect of the serial loop was
-  // the completion sink. Completions are therefore staged into per-chip
-  // buffers — advance() hands them over in deterministic cluster-major
-  // order per chip — and drained serially in ascending chip index after
-  // the quantum's barrier, which is exactly the order the serial loop
-  // invoked the sink. Every shard count and thread count (including the
-  // 1-shard serial plan, which runs the same staging path) thus produces
-  // bit-identical results and telemetry.
-  std::vector<std::vector<Request>> staged(chips_.size());
-  std::vector<std::function<void(const Request&)>> stage_sinks;
-  stage_sinks.reserve(chips_.size());
-  for (auto& buf : staged) {
-    stage_sinks.emplace_back([&buf](const Request& req) { buf.push_back(req); });
-  }
-  // One persistent pool per run (not per quantum): workers park on the
-  // condition variable between quanta, so the per-quantum cost is one
-  // submit + one wait_idle barrier per shard.
-  const int pool_threads = std::min(threads, plan.shard_count());
-  std::unique_ptr<sim::ThreadPool> pool;
-  if (pool_threads > 1) pool = std::make_unique<sim::ThreadPool>(pool_threads);
-  auto advance_shard = [&](const ShardRange& sh) {
-    for (int s = sh.first_chip; s < sh.first_chip + sh.chips; ++s) {
-      auto& chip = *chips_[static_cast<std::size_t>(s)];
-      if (chip.in_transition(now_s)) continue;  // voltage domain mid-swing
-      chip.advance(now_s, dt, q, stage_sinks[static_cast<std::size_t>(s)]);
-    }
-  };
-  auto advance_chips = [&] {
-    if (pool == nullptr) {
-      for (const auto& sh : plan.shards) advance_shard(sh);
-    } else {
-      pool->run_indexed(plan.shards.size(),
-                        [&](std::size_t i) { advance_shard(plan.shards[i]); });
-    }
-    for (auto& buf : staged) {
-      for (const Request& req : buf) completion_sink(req);
-      buf.clear();
-    }
-  };
-
-  while (disposed < total) {
-    if (now_s >= max_s) {
-      truncated = true;
-      break;
-    }
-    if (trace_ != nullptr) trace_->set_now(now_s);
-    if (injector != nullptr) {
-      while (injector->due(now_s)) apply_fault(injector->pop());
-    }
-    if (governed_ && now_s >= epoch_start_s_ + epoch_len_s) close_epochs(false);
-    process_timeouts();
-
-    // Admit everything due by `now_s`: merge the tenants' arrival streams
-    // and the back-off heap in event-time order (ties go to the fresh
-    // arrival, then to the lower tenant index, so ids stay in admission
-    // order).
-    for (;;) {
-      const std::size_t t = next_arrival_tenant();
-      const bool arrival_due =
-          t < tenants_.size() && tenants_[t].next_arrival_s <= now_s;
-      const bool retry_due = !retries_.empty() && retries_.top().due_s <= now_s;
-      if (!arrival_due && !retry_due) break;
-      if (arrival_due &&
-          (!retry_due || tenants_[t].next_arrival_s <= retries_.top().due_s)) {
-        TenantState& tenant = tenants_[t];
-        Request req;
-        req.id = next_id++;
-        req.tenant = static_cast<int>(t);
-        req.tenant_seq = tenant.offered;
-        req.arrival_s = tenant.next_arrival_s;
-        req.budget = tenant.budgets->sample(req.tenant_seq);
-        last_arrival_s = std::max(last_arrival_s, tenant.next_arrival_s);
-        ++tenant.offered;
-        if (tenant.offered < tenant.total) {
-          tenant.next_arrival_s = tenant.arrivals->next().value();
-        }
-        pending.emplace(req.id, PendingRequest{req, {}, false, false});
-        if (trace_ != nullptr) {
-          trace_->emit(obs::EventKind::kAdmit, /*chip=*/-1, req.arrival_s, req.tenant,
-                       static_cast<std::int64_t>(req.id));
-        }
-        dispatch(req, req.arrival_s, /*fresh=*/true);
-      } else {
-        const RetryEntry entry = retries_.top();
-        retries_.pop();
-        dispatch(entry.request, entry.due_s, /*fresh=*/false);
-      }
-    }
-    process_hedges();
-
-    for (auto& chip : chips_) chip->start_services(now_s);
-
-    if (!any_core_busy()) {
-      // Whole fleet idle: every chip would sleep, so jump straight to the
-      // next event — arrival, back-off expiry, or a stalled chip's
-      // transition end when it has queued work — on the base-frequency
-      // cycle grid (the fleet-level analogue of event skipping; the
-      // skipped span is credited to sleep in the energy accounting).
-      // Governed runs additionally stop at the epoch boundary so every
-      // chip's governor observes every epoch, idle or not.
-      double next_event = std::numeric_limits<double>::infinity();
-      for (const auto& tenant : tenants_) {
-        if (tenant.offered < tenant.total) {
-          next_event = std::min(next_event, tenant.next_arrival_s);
-        }
-      }
-      if (!retries_.empty()) next_event = std::min(next_event, retries_.top().due_s);
-      if (!timeouts.empty()) next_event = std::min(next_event, timeouts.top().due_s);
-      if (!hedges.empty()) next_event = std::min(next_event, hedges.top().due_s);
-      if (injector != nullptr) next_event = std::min(next_event, injector->next_time());
-      for (const auto& chip : chips_) {
-        if (chip->in_transition(now_s) && !chip->queue().empty()) {
-          next_event = std::min(next_event, chip->stall_until());
-        }
-      }
-      if (!std::isfinite(next_event)) {
-        // The last request can be disposed *inside* this iteration (a
-        // timeout expiry with the fleet already idle): nothing is left
-        // to wait for, so take the loop exit the top-of-loop check would
-        // have taken.
-        if (disposed >= total) break;
-        // A crashed chip that never recovers can strand its queue (and,
-        // health-blind, its in-flight work) with no future event: run
-        // out the clock so the stranded requests surface as in_flight on
-        // a truncated result instead of tripping the invariant below.
-        if (chips_down > 0) {
-          now_s = max_s;
-          continue;
-        }
-        NTSERV_EXPECTS(false, "idle fleet with requests unaccounted for " +
-                                  run_context(now_s, epoch_index, disposed, total));
-      }
-      double target = std::max(now_s + 1.0 / base_f,
-                               std::ceil(next_event * base_f) / base_f);
-      if (governed_) target = std::min(target, epoch_start_s_ + epoch_len_s);
-      now_s = std::min(target, max_s);
-      continue;
-    }
-
-    advance_chips();
-    now_s += dt;
   }
 
-  if (trace_ != nullptr) trace_->set_now(now_s);
-  if (governed_) close_epochs(true);
-  if (trace_ != nullptr) trace_->finish();
+  void step_autoscaler() {
+    orch::Autoscaler& autoscaler = *fleet_.autoscaler_;
+    obs::TraceSink* const trace = fleet_.trace_;
+    const bool emergency = domain_outage_pending_;
+    domain_outage_pending_ = false;
+    bool acted = false;
+    for (const orch::ScaleDecision& d : autoscaler.decide(chip_status(), emergency)) {
+      acted = true;
+      ChipServer& c = chip(d.chip);
+      switch (d.action) {
+        case orch::ScaleAction::kUnpark: {
+          // Warm/cold ladder: a recently-parked chip wakes at a fraction
+          // of the full latency.
+          const Second wake = autoscaler.config().wake_latency_for(now_s_ - c.parked_since());
+          // Reporting slice only: the wake stall is charged through the
+          // overlapped epochs like any transition.
+          r_.wake_energy += fleet_.managers_[static_cast<std::size_t>(c.group())]->wake_energy(
+              c.frequency(), wake);
+          c.unpark(now_s_, wake);
+          ++r_.autoscale_unparks;
+          if (emergency) ++r_.emergency_wakes;
+          if (trace != nullptr) {
+            trace->emit_now(obs::EventKind::kUnpark, d.chip, /*tenant=*/-1,
+                            /*id=*/emergency ? 1 : 0, /*value=*/wake.value());
+          }
+          break;
+        }
+        case orch::ScaleAction::kCancelDrain:
+          c.cancel_drain();
+          if (trace != nullptr) trace->emit_now(obs::EventKind::kCancelDrain, d.chip);
+          break;
+        case orch::ScaleAction::kDrain:
+          c.begin_drain();
+          ++r_.autoscale_drains;
+          if (trace != nullptr) trace->emit_now(obs::EventKind::kDrain, d.chip);
+          break;
+        case orch::ScaleAction::kPark:
+          // Re-check live state: the decision was made on a snapshot.
+          if (!c.down() && !c.parked() && c.outstanding() == 0) {
+            c.park(now_s_);
+            ++r_.autoscale_parks;
+            if (trace != nullptr) trace->emit_now(obs::EventKind::kPark, d.chip);
+          }
+          break;
+      }
+    }
+    // The budgets split at the top of this barrier assumed the pre-action
+    // fleet; re-split over the post-action survivors so a newly-woken chip
+    // does not serve an entire epoch on a zero budget. Applied without a
+    // transition stall (same barrier).
+    if (acted && fleet_.capper_) {
+      fleet_.split_power_cap(chip_status(), /*apply_now=*/true);
+    }
+  }
 
-  FleetResult r;
-  r.workload = config_.profile.name;
-  r.frequency = config_.frequency;
-  r.completed = fleet_sum(&TenantState::completed_measured);
-  r.offered = fleet_sum(&TenantState::offered);
-  r.admitted = admitted;
-  r.retries = retry_count;
-  r.shed = fleet_sum(&TenantState::shed);
-  r.shed_rate =
-      r.offered > 0 ? static_cast<double>(r.shed) / static_cast<double>(r.offered) : 0.0;
-  r.steered = steered_;
-  r.truncated = truncated;
-  r.completed_all = fleet_sum(&TenantState::completed_all);
-  r.timed_out = fleet_sum(&TenantState::timed_out);
-  r.hedged = fleet_sum(&TenantState::hedged);
-  r.hedge_wins = hedge_wins;
-  r.redispatched = fleet_sum(&TenantState::redispatched);
-  r.wasted_completions = wasted;
-  r.in_flight = pending.size();
-  r.faults_injected = faults_injected;
-  if (first_fault_s >= 0.0) {
-    r.first_fault = Second{first_fault_s};
-    if (recovered_at >= 0.0 && !truncated) {
+  void snapshot_metrics(double duration, double epoch_energy_j) {
+    obs::MetricsRegistry& m = *fleet_.metrics_;
+    int parked_chips = 0;
+    for (std::size_t s = 0; s < fleet_.chips_.size(); ++s) {
+      const ChipServer& c = *fleet_.chips_[s];
+      const ChipMetricIds& ids = chip_metric_ids_[s];
+      m.set(ids.queue, static_cast<double>(c.outstanding()));
+      m.set(ids.freq, c.frequency().value() / 1e9);
+      m.set(ids.power, chip_power_w_[s]);
+      m.set(ids.util, c.last_epoch_utilization());
+      m.set(ids.breaker,
+            fleet_.breakers_.empty()
+                ? 0.0
+                : static_cast<double>(static_cast<int>(fleet_.breakers_[s].state())));
+      m.set(ids.parked, c.parked() ? 1.0 : 0.0);
+      m.set(ids.down, c.down() ? 1.0 : 0.0);
+      if (c.parked()) ++parked_chips;
+    }
+    const StreamingPercentiles& tail = latency_.tail;
+    m.set(fm_.offered, static_cast<double>(fleet_sum(&TenantResult::offered)));
+    m.set(fm_.completed, static_cast<double>(fleet_sum(&TenantResult::completed_all)));
+    m.set(fm_.shed, static_cast<double>(fleet_sum(&TenantResult::shed)));
+    m.set(fm_.timed_out, static_cast<double>(fleet_sum(&TenantResult::timed_out)));
+    m.set(fm_.retries, static_cast<double>(r_.retries));
+    m.set(fm_.p50, tail.count() > 0 ? tail.p50() * 1e6 : 0.0);
+    m.set(fm_.p95, tail.count() > 0 ? tail.p95() * 1e6 : 0.0);
+    m.set(fm_.p99, tail.count() > 0 ? tail.p99() * 1e6 : 0.0);
+    m.set(fm_.brownout, static_cast<double>(static_cast<int>(stage_)));
+    m.set(fm_.power, duration > 0.0 ? epoch_energy_j / duration : 0.0);
+    m.set(fm_.parked, static_cast<double>(parked_chips));
+    m.set(fm_.in_flight, static_cast<double>(ledger_.in_flight()));
+    m.snapshot(epoch_index_, now_s_);
+  }
+
+  // ---- Result assembly ----
+
+  [[nodiscard]] FleetResult assemble() {
+    FleetResult& r = r_;
+    r.completed = fleet_sum(&TenantResult::completed);
+    r.offered = fleet_sum(&TenantResult::offered);
+    r.shed = fleet_sum(&TenantResult::shed);
+    r.completed_all = fleet_sum(&TenantResult::completed_all);
+    r.timed_out = fleet_sum(&TenantResult::timed_out);
+    r.hedged = fleet_sum(&TenantResult::hedged);
+    r.redispatched = fleet_sum(&TenantResult::redispatched);
+    r.brownout_shed = fleet_sum(&TenantResult::brownout_shed);
+    r.sla_violations = fleet_sum(&TenantResult::sla_violations);
+    r.degraded_sla_violations = fleet_sum(&TenantResult::degraded_sla_violations);
+    ledger_.close(r, context());
+    r.shed_rate =
+        r.offered > 0 ? static_cast<double>(r.shed) / static_cast<double>(r.offered) : 0.0;
+    if (recovered_at_ >= 0.0 && !r.truncated) {
       r.recovered = true;
-      r.time_to_recover = Second{recovered_at - first_fault_s};
+      r.time_to_recover = Second{recovered_at_ - r.first_fault.value()};
     }
-  }
-  r.guardband_epochs = guardband_epochs;
-  r.governed = governed_;
-  r.brownout_enabled = brownout_.has_value();
-  r.breakers_enabled = !breakers_.empty();
-  r.autoscaled = autoscaler_.has_value();
-  r.brownout_shed = fleet_sum(&TenantState::brownout_shed);
-  r.brownout_epochs = brownout_epochs;
-  // The time-in-stage attribution is only a measurement when the ladder
-  // ran; without it the vector stays empty (see has_brownout_ladder()).
-  if (brownout_.has_value()) r.brownout_stage_epochs = stage_epochs;
-  for (const auto& b : breakers_) r.breaker_trips += b.trips();
-  r.breaker_open_epochs = breaker_open_epochs;
-  // In-flight remainders at truncation, attributed to their tenants so
-  // the per-tenant ledgers tile too.
-  for (const auto& [id, pr] : pending) {
-    ++tenants_[static_cast<std::size_t>(pr.proto.tenant)].in_flight_at_end;
-  }
-  // The availability ledger must tile: every offered request is exactly
-  // one of completed, shed, timed out, or still in flight (truncation).
-  NTSERV_ENSURES(r.offered == r.completed_all + r.shed + r.timed_out + r.in_flight,
-                 "request accounting does not tile " +
-                     run_context(now_s, epoch_index, disposed, total));
-  r.span_seconds = Second{now_s};
-  r.span_cycles = static_cast<Cycle>(std::llround(now_s * base_f));
-  if (latency.count() > 0) {
-    r.mean_latency = Second{latency_mean.mean()};
-    r.p50 = Second{latency.p50()};
-    r.p95 = Second{latency.p95()};
-    r.p99 = Second{latency.p99()};
-    r.mean_wait = Second{wait_mean.mean()};
-  }
-  if (last_arrival_s > 0.0) {
-    r.offered_rate = static_cast<double>(r.offered) / last_arrival_s;
-  }
-  if (now_s > 0.0) {
-    r.throughput = static_cast<double>(r.completed_all) / now_s;
-    r.goodput = static_cast<double>(good_completions) / now_s;
-  }
-  double busy_core_seconds = 0.0;
-  double freq_seconds = 0.0, governed_seconds = 0.0;
-  r.server_active_fraction.reserve(chips_.size());
-  for (const auto& chip : chips_) {
-    busy_core_seconds += chip->busy_core_seconds();
-    freq_seconds += chip->freq_seconds();
-    governed_seconds += chip->governed_seconds();
-    r.server_active_fraction.push_back(now_s > 0.0 ? chip->active_seconds() / now_s : 0.0);
-  }
-  if (now_s > 0.0) {
-    r.utilization = busy_core_seconds / (now_s * static_cast<double>(total_cores));
-  }
-  r.energy = Joule{energy_j};
-  r.avg_frequency_ghz = governed_seconds > 0.0 ? freq_seconds / governed_seconds / 1e9 : 0.0;
-  r.transitions = transitions;
-  r.transition_time_total = total_transition;
-  r.transition_epochs = transition_epochs;
-  r.qos_violation_epochs = violations;
-  r.epochs = std::move(epoch_records);
-
-  r.autoscale_parks = parks;
-  r.autoscale_unparks = unparks;
-  r.autoscale_drains = drains;
-  r.emergency_wakes = emergency_wakes;
-  double parked_s = 0.0;
-  for (const auto& chip : chips_) parked_s += chip->parked_seconds(now_s);
-  r.parked_seconds = Second{parked_s};
-  r.wake_energy = Joule{wake_energy_j};
-  r.cap_clamp_epochs = cap_clamp_epochs;
-  r.cap_violation_epochs = cap_violation_epochs;
-  if (capper_) r.fleet_cap = capper_->config().fleet_cap;
-  r.peak_epoch_power = Watt{peak_epoch_power};
-  if (router_) {
-    r.router_epochs = router_->epochs();
-    for (const auto& g : config_.orchestration.router.groups) {
-      r.group_names.push_back(g.name);
+    for (const auto& b : fleet_.breakers_) r.breaker_trips += b.trips();
+    r.span_seconds = Second{now_s_};
+    r.span_cycles = static_cast<Cycle>(std::llround(now_s_ * base_f_));
+    latency_.report(r);
+    if (last_arrival_s_ > 0.0) {
+      r.offered_rate = static_cast<double>(r.offered) / last_arrival_s_;
     }
-    r.group_dispatches = group_dispatches;
-    r.group_energy.reserve(group_energy_j.size());
-    for (double e : group_energy_j) r.group_energy.push_back(Joule{e});
+    if (now_s_ > 0.0) {
+      r.throughput = static_cast<double>(r.completed_all) / now_s_;
+      // Goodput: measured completions that met their tenant's bound.
+      r.goodput = static_cast<double>(r.completed - r.sla_violations) / now_s_;
+    }
+    double busy_core_seconds = 0.0, freq_seconds = 0.0, governed_seconds = 0.0;
+    double parked_s = 0.0;
+    r.server_active_fraction.reserve(fleet_.chips_.size());
+    for (const auto& c : fleet_.chips_) {
+      busy_core_seconds += c->busy_core_seconds();
+      freq_seconds += c->freq_seconds();
+      governed_seconds += c->governed_seconds();
+      parked_s += c->parked_seconds(now_s_);
+      r.server_active_fraction.push_back(now_s_ > 0.0 ? c->active_seconds() / now_s_ : 0.0);
+    }
+    if (now_s_ > 0.0) {
+      const int total_cores = fleet_.servers() * fleet_.cores_per_server();
+      r.utilization = busy_core_seconds / (now_s_ * static_cast<double>(total_cores));
+    }
+    r.avg_frequency_ghz =
+        governed_seconds > 0.0 ? freq_seconds / governed_seconds / 1e9 : 0.0;
+    r.parked_seconds = Second{parked_s};
+    if (fleet_.capper_) r.fleet_cap = fleet_.capper_->config().fleet_cap;
+    if (fleet_.router_) r.router_epochs = fleet_.router_->epochs();
+    for (std::size_t t = 0; t < tenants_.size(); ++t) {
+      TenantResult& row = r.tenants[t];
+      row.shed_rate = row.offered > 0
+                          ? static_cast<double>(row.shed) / static_cast<double>(row.offered)
+                          : 0.0;
+      tenants_[t].latency.report(row);
+      for (const auto& c : fleet_.chips_) {
+        row.busy_core_seconds += c->tenant_busy_seconds(static_cast<int>(t));
+      }
+      row.busy_share =
+          busy_core_seconds > 0.0 ? row.busy_core_seconds / busy_core_seconds : 0.0;
+      // Energy attribution by occupied core time: the tenant that kept the
+      // cores busy carries the matching share of the envelope energy
+      // (idle/sleep overhead rides along proportionally).
+      row.energy = Joule{r.energy.value() * row.busy_share};
+    }
+    return std::move(r_);
   }
 
-  r.tenants.reserve(tenants_.size());
-  for (std::size_t t = 0; t < tenants_.size(); ++t) {
-    const TenantState& state = tenants_[t];
-    TenantResult tr;
-    tr.name = state.spec.name;
-    tr.completed = state.completed_measured;
-    tr.offered = state.offered;
-    tr.shed = state.shed;
-    tr.shed_rate = state.offered > 0
-                       ? static_cast<double>(state.shed) / static_cast<double>(state.offered)
-                       : 0.0;
-    if (state.latency.count() > 0) {
-      tr.mean_latency = Second{state.latency_mean.mean()};
-      tr.p50 = Second{state.latency.p50()};
-      tr.p95 = Second{state.latency.p95()};
-      tr.p99 = Second{state.latency.p99()};
-      tr.mean_wait = Second{state.wait_mean.mean()};
-    }
-    tr.sla_violations = state.sla_violations;
-    tr.completed_all = state.completed_all;
-    tr.timed_out = state.timed_out;
-    tr.hedged = state.hedged;
-    tr.redispatched = state.redispatched;
-    tr.in_flight = state.in_flight_at_end;
-    tr.degraded_sla_violations = state.degraded_sla_violations;
-    tr.brownout_shed = state.brownout_shed;
-    tr.brownout_epochs = state.brownout_epochs;
-    r.sla_violations += state.sla_violations;
-    r.degraded_sla_violations += state.degraded_sla_violations;
-    NTSERV_ENSURES(state.offered ==
-                       state.completed_all + state.shed + state.timed_out +
-                           state.in_flight_at_end,
-                   "tenant '" + state.spec.name + "' accounting does not tile " +
-                       run_context(now_s, epoch_index, disposed, total));
-    for (const auto& chip : chips_) {
-      tr.busy_core_seconds += chip->tenant_busy_seconds(static_cast<int>(t));
-    }
-    tr.busy_share =
-        busy_core_seconds > 0.0 ? tr.busy_core_seconds / busy_core_seconds : 0.0;
-    // Energy attribution by occupied core time: the tenant that kept the
-    // cores busy carries the matching share of the envelope energy
-    // (idle/sleep overhead rides along proportionally).
-    tr.energy = Joule{energy_j * tr.busy_share};
-    r.tenants.push_back(std::move(tr));
-  }
-  return r;
+  ClusterFleet& fleet_;
+  const ShardPlan& plan_;
+  const ResilienceConfig& res_;
+  const double base_f_;
+  const double max_s_;
+  const double dt_;  ///< master wall quantum
+  /// The epoch is a *wall-time* control interval sized at the base
+  /// frequency: a governor that slowed a chip's clock must not also slow
+  /// its own reaction time. All chips share the boundary grid; each makes
+  /// its own decision at it.
+  const double epoch_len_s_;
+  const double timeout_s_;
+
+  FleetResult r_;
+  std::vector<TenantState> tenants_;
+  std::uint64_t total_ = 0;  ///< requests the tenants will offer in all
+  RequestLedger ledger_;
+  LatencyStats latency_;
+  std::uint64_t next_id_ = 0;           ///< global admission-order sequence
+  double now_s_ = 0.0;
+  double last_arrival_s_ = 0.0;
+  int round_robin_next_ = 0;
+  std::uint64_t epoch_index_ = 0;
+  double epoch_start_s_ = 0.0;
+  ctrl::BrownoutStage stage_ = ctrl::BrownoutStage::kNormal;
+
+  // Fault state (idle on a healthy run).
+  std::unique_ptr<fault::FaultInjector> injector_;
+  int chips_down_ = 0;
+  int chips_degraded_ = 0;
+  std::vector<char> chip_degraded_;
+  double recovered_at_ = -1.0;  ///< recovery point (-1 while a fault is open)
+  /// A correlated (domain-tagged) crash was delivered since the last
+  /// barrier: the autoscaler's next decide() runs in emergency mode.
+  bool domain_outage_pending_ = false;
+
+  std::vector<ChipMetricIds> chip_metric_ids_;
+  FleetMetricIds fm_{};
+  std::vector<double> chip_power_w_;  ///< last closed epoch, per chip
+
+  std::vector<std::vector<Request>> done_;  ///< completion buffer per shard
+  std::unique_ptr<sim::ThreadPool> pool_;
+};
+
+FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
+  plan.validate(servers());
+  if (threads <= 0) threads = sim::ThreadPool::default_threads();
+  obs::PhaseTimers::Scope run_scope(timers_, "fleet-run");
+  return Run{*this, plan, threads}.execute();
 }
 
 Joule fleet_energy(const FleetResult& result, const pm::PowerManager& manager,

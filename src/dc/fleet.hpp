@@ -31,9 +31,9 @@
 // ranges (ShardPlan) and advances the shards on a worker pool between
 // epoch barriers. The data plane is shard-local by construction — a
 // chip's advance() touches only its own clusters, slots and queue — and
-// every completion is staged into a per-chip buffer, then drained
-// serially in ascending chip order, which is exactly the order the
-// serial loop produced. The control plane (dispatch, timeouts, hedges,
+// every completion is appended to its shard's completion buffer, then
+// drained serially in ascending chip order, which is exactly the order
+// the serial loop produced. The control plane (dispatch, timeouts, hedges,
 // faults, and the epoch barrier where governor/balancer/brownout/
 // capper/autoscaler act) stays serial. Results and telemetry are
 // therefore bit-identical for ANY shard count and ANY NTSERV_THREADS;
@@ -42,14 +42,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "ctrl/admission.hpp"
 #include "ctrl/brownout.hpp"
@@ -57,7 +54,6 @@
 #include "ctrl/governor.hpp"
 #include "dc/arrival.hpp"
 #include "dc/chip.hpp"
-#include "dc/latency_stats.hpp"
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
 #include "orch/orch.hpp"
@@ -137,9 +133,6 @@ struct ResilienceConfig {
   Second hedge_min_delay{100e-6};
   std::uint64_t hedge_warmup = 32;
 
-  [[nodiscard]] bool any() const {
-    return failover || hedging || timeout.value() > 0.0;
-  }
   void validate() const;
 };
 
@@ -180,6 +173,8 @@ struct TenantResult {
   /// time (idle/sleep overhead is attributed proportionally with it).
   /// Zero for open-loop runs — attribute dc::fleet_energy by busy_share.
   Joule energy{0.0};
+
+  bool operator==(const TenantResult&) const = default;
 };
 
 struct FleetConfig {
@@ -209,19 +204,15 @@ struct FleetConfig {
   /// a chip advances per quantum). Completions are interpolated within
   /// the quantum, so the measured latency error is O(quantum /
   /// service_cycles).
-  Cycle quantum = 64;
+  static constexpr Cycle quantum = 64;
   /// Per-cluster architectural cache warming before any request is timed
   /// (cluster-aggregate committed instructions, same convention as the
   /// SMARTS warm phase — keeping the two paths' warmth comparable is what
   /// makes the measured-vs-analytic cross-check meaningful).
   std::uint64_t warm_instructions = 600'000;
-  Cycle warm_max_cycles = 6'000'000;
   /// Safety stop for saturated scenarios (arrival rate > service rate),
   /// in cycles of the configured base `frequency`.
   Cycle max_cycles = 400'000'000;
-  /// Power-aware packing bound: a chip accepts new work while its
-  /// outstanding count is below depth_per_core * cores.
-  double pack_depth_per_core = 2.0;
   /// Fault schedule (crashes, recoveries, degradations, correlated
   /// domain outages). Empty = the perfectly-healthy fleet of the earlier
   /// PRs, bit-identical to them.
@@ -384,18 +375,11 @@ struct FleetResult {
   std::vector<Joule> group_energy;               ///< epoch energy per group
 
   // ---- Feature presence ----
-  // Many fields above are only meaningful when the matching subsystem
-  // was enabled, and several vectors are empty otherwise. The flags
-  // record what the run actually engaged; drivers should branch on the
-  // has_*() accessors below instead of length-checking vectors inline.
+  // Several vectors above are empty unless the matching subsystem ran;
+  // drivers branch on these accessors instead of length-checking inline.
   bool governed = false;          ///< a DVFS governor closed epochs
   bool brownout_enabled = false;  ///< the brownout ladder was attached
-  bool breakers_enabled = false;  ///< per-chip circuit breakers attached
-  bool autoscaled = false;        ///< the autoscaler was attached
 
-  /// Measured completions exist, so mean/p50/p95/p99/mean_wait are
-  /// measurements rather than zero-initialized placeholders.
-  [[nodiscard]] bool has_tail() const { return completed > 0; }
   /// Governed run: `energy`, `avg_frequency_ghz` and the transition
   /// counters are governor-accounted (open-loop runs leave them zero).
   [[nodiscard]] bool has_energy() const { return governed; }
@@ -405,20 +389,12 @@ struct FleetResult {
   /// `brownout_stage_epochs` carries the time-in-stage attribution
   /// (sized ctrl::kBrownoutStages); empty when the ladder was off.
   [[nodiscard]] bool has_brownout_ladder() const { return brownout_enabled; }
-  /// Breakers were attached, so `breaker_trips`/`breaker_open_epochs`
-  /// are observations (0 with breakers on means "never tripped").
-  [[nodiscard]] bool has_breakers() const { return breakers_enabled; }
   /// Multi-fleet routing ran: `group_names`, `group_dispatches`,
   /// `group_energy` and `router_epochs` are parallel per-group arrays.
   [[nodiscard]] bool has_routing() const { return !group_names.empty(); }
-  /// A fleet power cap was enforced (`fleet_cap` is the cap).
-  [[nodiscard]] bool has_power_cap() const { return fleet_cap.value() > 0.0; }
-  /// The autoscaler ran: park/unpark/drain counters and parked_seconds
-  /// are observations.
-  [[nodiscard]] bool has_autoscaler() const { return autoscaled; }
-  /// At least one fault event was delivered (first_fault, recovered and
-  /// time_to_recover describe the fault history).
-  [[nodiscard]] bool has_fault_history() const { return faults_injected > 0; }
+
+  /// Bit-identity: every field equal (doubles compared exactly).
+  bool operator==(const FleetResult&) const = default;
 };
 
 /// N ChipServer instances behind one dispatcher.
@@ -438,7 +414,6 @@ class ClusterFleet {
   ClusterFleet(const ClusterFleet&) = delete;
   ClusterFleet& operator=(const ClusterFleet&) = delete;
 
-  [[nodiscard]] const FleetConfig& config() const { return config_; }
   [[nodiscard]] int servers() const { return static_cast<int>(chips_.size()); }
   [[nodiscard]] int cores_per_server() const {
     return config_.clusters_per_chip * config_.cluster.hierarchy.cores;
@@ -458,70 +433,27 @@ class ClusterFleet {
   /// you. Kept public for the engine-level callers.
   void set_telemetry(obs::Telemetry* telemetry);
 
-  /// Drive arrivals until every offered request is completed or shed (or
-  /// max_cycles elapse), serially: equivalent to run(ShardPlan::serial,
-  /// 1). Deterministic — all randomness is seed-derived at construction.
-  [[nodiscard]] FleetResult run();
-
-  /// Sharded run: advance the plan's chip ranges on up to `threads`
-  /// workers between epoch barriers (threads <= 0 picks
-  /// sim::ThreadPool::default_threads()). Completions are staged per
-  /// chip and drained in ascending chip order at each quantum, and the
-  /// control plane stays serial, so the result AND the telemetry stream
-  /// are bit-identical to the serial run for any plan and any thread
-  /// count.
+  /// Run the fleet: drive arrivals until every offered request is
+  /// completed, shed or timed out (or max_cycles elapse), advancing the
+  /// plan's chip ranges on up to `threads` workers between epoch barriers
+  /// (threads <= 0 picks sim::ThreadPool::default_threads()). Completions
+  /// are buffered per shard and drained in ascending chip order at each
+  /// quantum, and the control plane stays serial, so the result AND the
+  /// telemetry stream are bit-identical to the serial run for any plan
+  /// and any thread count. Deterministic — all randomness is seed-derived.
   [[nodiscard]] FleetResult run(const ShardPlan& plan, int threads);
 
  private:
-  /// One tenant's generators and running measurement.
-  struct TenantState {
-    TenantSpec spec;
-    std::unique_ptr<ArrivalProcess> arrivals;
-    std::unique_ptr<ctrl::BudgetSampler> budgets;
-    double next_arrival_s = 0.0;
-    std::uint64_t total = 0;  ///< requests + warmup_requests
-    std::uint64_t offered = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t completed_measured = 0;
-    std::uint64_t completed_all = 0;
-    std::uint64_t timed_out = 0;
-    std::uint64_t hedged = 0;
-    std::uint64_t redispatched = 0;
-    std::uint64_t sla_violations = 0;
-    std::uint64_t degraded_sla_violations = 0;
-    std::uint64_t brownout_shed = 0;
-    std::uint64_t brownout_epochs = 0;
-    std::uint64_t in_flight_at_end = 0;
-    StreamingPercentiles latency;
-    RunningStats latency_mean;
-    RunningStats wait_mean;
-  };
+  /// One run's state and stages (fleet.cpp): the request ledger, the
+  /// dispatcher, fault delivery, the epoch barrier and result assembly.
+  class Run;
 
-  /// A client waiting out its back-off before the next dispatch attempt.
-  struct RetryEntry {
-    double due_s;
-    Request request;
-    /// Min-heap on (due time, id): id breaks ties deterministically.
-    [[nodiscard]] bool operator>(const RetryEntry& o) const {
-      return due_s != o.due_s ? due_s > o.due_s : request.id > o.request.id;
-    }
-  };
-
-  /// Chip for the next dispatch attempt; -1 when failover is on and no
-  /// healthy chip exists (the caller parks the request until a recovery).
-  [[nodiscard]] int pick_server(const Request& req, double now_s);
-  /// Least-outstanding chip; with `healthy_only`, crashed chips are
-  /// excluded and -1 means none are up. `exclude` skips one chip index
-  /// (hedge placement: the duplicate must race a different chip);
-  /// `avoid_domain` deprioritizes chips in that failure domain (hedge
-  /// placement prefers a different domain, falling back inside it).
-  /// Breaker-open chips are similarly a last-resort tier, after draining.
-  [[nodiscard]] int least_loaded(bool healthy_only = false, int exclude = -1,
-                                 int avoid_domain = -1) const;
-  [[nodiscard]] bool any_core_busy() const;
+  /// Split the fleet power cap over `status` into per-chip budgets (parked
+  /// chips' sleep floors reserved off the top); `apply_now` also clamps
+  /// each chip's current operating point, without a transition stall.
+  void split_power_cap(const std::vector<orch::ChipStatus>& status, bool apply_now);
 
   FleetConfig config_;
-  std::vector<TenantState> tenants_;
   ctrl::AdmissionController admission_;
   /// Present only when governed (kind != kNone); every chip's governor
   /// holds a reference into its group's manager, so declaration order
@@ -529,7 +461,7 @@ class ClusterFleet {
   std::vector<std::unique_ptr<pm::PowerManager>> managers_;
   std::vector<std::unique_ptr<ChipServer>> chips_;
   // Orchestration controllers (engaged only when the matching config is
-  // enabled); all act at the epoch barrier inside run().
+  // enabled); all act at the epoch barrier.
   std::optional<orch::Autoscaler> autoscaler_;
   std::optional<orch::PowerCapper> capper_;
   std::optional<orch::MultiFleetRouter> router_;
@@ -539,17 +471,11 @@ class ClusterFleet {
   /// Chip -> failure domain (-1 outside any domain): cross-domain hedge
   /// placement and the emergency-wake trigger both consult it.
   std::vector<int> chip_domain_;
-  std::priority_queue<RetryEntry, std::vector<RetryEntry>, std::greater<>> retries_;
   // Observability (null when detached/disabled; see set_telemetry).
   obs::TraceSink* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::PhaseTimers* timers_ = nullptr;
-  int round_robin_next_ = 0;
   bool governed_ = false;
-  std::uint64_t steered_ = 0;
-  // Epoch window the governor-aware peeks read (set during run()).
-  double epoch_start_s_ = 0.0;
-  double peek_window_s_ = 0.0;
 };
 
 /// Server energy over a fleet run's span: each chip runs at the

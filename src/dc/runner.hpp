@@ -57,8 +57,6 @@ class FleetRunner {
   /// Validates the config once, up front (throws ModelError).
   explicit FleetRunner(FleetConfig config);
 
-  [[nodiscard]] const FleetConfig& config() const { return config_; }
-
   /// The shard plan run(options) will execute — exposed so callers and
   /// tests can inspect the partition (deterministic in (config, options)).
   [[nodiscard]] ShardPlan plan(const RunOptions& options = {}) const;

@@ -235,6 +235,8 @@ struct RouterEpoch {
   bool offpeak = false;     ///< preference that held *during* this epoch
   std::vector<std::uint64_t> routed; ///< dispatches per group this epoch
   std::uint64_t fallback = 0; ///< dispatches that left their preferred group
+
+  bool operator==(const RouterEpoch&) const = default;
 };
 
 /// Steers dispatch between tech-heterogeneous chip groups. The standing
@@ -244,8 +246,6 @@ struct RouterEpoch {
 class MultiFleetRouter {
  public:
   explicit MultiFleetRouter(RouterConfig config);
-
-  [[nodiscard]] int group_count() const { return static_cast<int>(config_.groups.size()); }
 
   /// Group this dispatch should target under the standing preference.
   [[nodiscard]] int preferred_group(bool latency_critical) const;

@@ -60,6 +60,8 @@ struct EpochDecision {
   bool sleeps = false;        ///< idle remainder in RBB sleep
   bool met_demand = true;
   Watt avg_power;             ///< epoch-average server power
+
+  bool operator==(const EpochDecision&) const = default;
 };
 
 /// Aggregate outcome of one policy over a trace.

@@ -85,8 +85,7 @@ TEST(Admission, WithoutAdmissionTheSameOverloadTruncates) {
   s.admission.enabled = false;
   auto cfg = s.fleet_config(ghz(2.0));
   cfg.max_cycles = 300'000;  // tight cap: the unbounded queue hits it
-  dc::ClusterFleet fleet{cfg};
-  const auto r = fleet.run();
+  const auto r = dc::FleetRunner{cfg}.run({.shards = 1, .threads = 1});
   EXPECT_TRUE(r.truncated);
   EXPECT_EQ(r.shed, 0u);
 }
@@ -94,10 +93,8 @@ TEST(Admission, WithoutAdmissionTheSameOverloadTruncates) {
 TEST(Admission, BackoffRunsAreDeterministic) {
   const auto a = dc::run_scenario(saturated_scenario(), ghz(2.0));
   const auto b = dc::run_scenario(saturated_scenario(), ghz(2.0));
-  EXPECT_EQ(a.shed, b.shed);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_DOUBLE_EQ(a.p99.value(), b.p99.value());
-  EXPECT_DOUBLE_EQ(a.span_seconds.value(), b.span_seconds.value());
+  EXPECT_GT(a.retries, 0u);
+  EXPECT_TRUE(a == b);
 }
 
 }  // namespace

@@ -158,18 +158,9 @@ TEST(Governor, GovernedSweepIsThreadCountInvariant) {
   const auto four = dse::sweep_governors(small_diurnal(), kinds, ghz(2.0), 4);
   ASSERT_EQ(one.points.size(), four.points.size());
   for (std::size_t i = 0; i < one.points.size(); ++i) {
-    const auto& a = one.points[i].result;
-    const auto& b = four.points[i].result;
-    ASSERT_EQ(a.epochs.size(), b.epochs.size());
-    for (std::size_t e = 0; e < a.epochs.size(); ++e) {
-      EXPECT_DOUBLE_EQ(a.epochs[e].decision.frequency.value(),
-                       b.epochs[e].decision.frequency.value());
-      EXPECT_EQ(a.epochs[e].transition, b.epochs[e].transition);
-      EXPECT_EQ(a.epochs[e].boosted, b.epochs[e].boosted);
-    }
-    EXPECT_DOUBLE_EQ(a.energy.value(), b.energy.value());
-    EXPECT_DOUBLE_EQ(a.p99.value(), b.p99.value());
-    EXPECT_EQ(a.transitions, b.transitions);
+    EXPECT_FALSE(one.points[i].result.epochs.empty());
+    EXPECT_TRUE(one.points[i].result == four.points[i].result)
+        << "governor " << to_string(kinds[i]);
   }
 }
 

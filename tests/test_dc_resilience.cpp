@@ -62,10 +62,10 @@ TEST(Resilience, HealthyFleetIsBitIdenticalWithResilienceArmed) {
   // Failover/timeout/hedging must be pure overhead-free bookkeeping while
   // nothing fails: same completions, same tail, same span.
   auto cfg = small_config();
-  const FleetResult plain = ClusterFleet{cfg}.run();
+  const FleetResult plain = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
   cfg.resilience.failover = true;
   cfg.resilience.timeout = Second{5e-3};  // far above any healthy latency
-  const FleetResult armed = ClusterFleet{cfg}.run();
+  const FleetResult armed = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
   EXPECT_EQ(plain.completed, armed.completed);
   EXPECT_DOUBLE_EQ(plain.p99.value(), armed.p99.value());
   EXPECT_EQ(plain.span_cycles, armed.span_cycles);
@@ -75,10 +75,10 @@ TEST(Resilience, HealthyFleetIsBitIdenticalWithResilienceArmed) {
 
 TEST(Resilience, CrashWithoutFailoverPaysTheOutageInLatency) {
   auto cfg = small_config();
-  const FleetResult healthy = ClusterFleet{cfg}.run();
+  const FleetResult healthy = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
   cfg.faults.events = {{1.0e-3, 0, fault::FaultKind::kCrash},
                        {2.0e-3, 0, fault::FaultKind::kRecover}};
-  const FleetResult r = ClusterFleet{cfg}.run();
+  const FleetResult r = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
   EXPECT_FALSE(r.truncated);
   EXPECT_EQ(r.faults_injected, 2u);
   // Nothing is lost: in-flight work restarts locally at recovery and the
@@ -96,12 +96,12 @@ TEST(Resilience, CrashWithoutFailoverPaysTheOutageInLatency) {
 
 TEST(Resilience, FailoverKeepsTheTailNearHealthy) {
   auto cfg = small_config();
-  const FleetResult healthy = ClusterFleet{cfg}.run();
+  const FleetResult healthy = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
   cfg.faults.events = {{1.0e-3, 0, fault::FaultKind::kCrash},
                        {2.0e-3, 0, fault::FaultKind::kRecover}};
-  const FleetResult blind = ClusterFleet{cfg}.run();
+  const FleetResult blind = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
   cfg.resilience.failover = true;
-  const FleetResult failover = ClusterFleet{cfg}.run();
+  const FleetResult failover = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
   EXPECT_FALSE(failover.truncated);
   EXPECT_EQ(failover.offered, failover.completed_all);
   EXPECT_EQ(failover.timed_out, 0u);
@@ -116,7 +116,7 @@ TEST(Resilience, UnrecoveredCrashStrandsInFlightWorkWithoutFailover) {
   auto cfg = small_config();
   cfg.faults.events = {{1.0e-3, 0, fault::FaultKind::kCrash}};  // never recovers
   cfg.max_cycles = 40'000'000;  // bound the wait for work that cannot finish
-  const FleetResult r = ClusterFleet{cfg}.run();
+  const FleetResult r = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
   EXPECT_TRUE(r.truncated);
   EXPECT_GT(r.in_flight, 0u);
   EXPECT_FALSE(r.recovered);
@@ -127,7 +127,7 @@ TEST(Resilience, FailoverSurvivesAnUnrecoveredCrash) {
   auto cfg = small_config();
   cfg.faults.events = {{1.0e-3, 0, fault::FaultKind::kCrash}};
   cfg.resilience.failover = true;
-  const FleetResult r = ClusterFleet{cfg}.run();
+  const FleetResult r = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
   EXPECT_FALSE(r.truncated);
   EXPECT_EQ(r.offered, r.completed_all);
   EXPECT_EQ(r.in_flight, 0u);
@@ -140,7 +140,7 @@ TEST(Resilience, TimeoutsExhaustTheRetryBudgetOnADarkFleet) {
   cfg.tenants[0].warmup_requests = 5;
   cfg.faults.events = {{0.5e-3, 0, fault::FaultKind::kCrash}};  // forever
   cfg.resilience.timeout = Second{50e-6};
-  const FleetResult r = ClusterFleet{cfg}.run();
+  const FleetResult r = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
   EXPECT_FALSE(r.truncated);
   // Every request that had not finished by the crash times out, retries
   // through the back-off budget onto the same dead chip, and gives up.
@@ -157,7 +157,7 @@ TEST(Resilience, HedgingDuplicatesSlowRequestsAndFirstCompletionWins) {
   cfg.resilience.hedging = true;
   cfg.resilience.hedge_min_delay = Second{5e-6};
   cfg.resilience.hedge_warmup = 1'000'000;  // pin the delay at hedge_min_delay
-  const FleetResult r = ClusterFleet{cfg}.run();
+  const FleetResult r = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
   EXPECT_FALSE(r.truncated);
   EXPECT_GT(r.hedged, 0u);
   EXPECT_LE(r.hedged, r.offered);  // at most one hedge per request
@@ -171,12 +171,12 @@ TEST(Resilience, HedgingDuplicatesSlowRequestsAndFirstCompletionWins) {
 
 TEST(Resilience, DegradationFrequencyCapSlowsTheFleet) {
   auto cfg = one_chip(10'000.0);
-  const FleetResult healthy = ClusterFleet{cfg}.run();
+  const FleetResult healthy = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
   // Deep whole-run cap (0.15 of nominal -> 0.3 GHz). The slowdown is
   // sub-linear in frequency — web search is memory-bound, which is the
   // paper's NTC argument — so the latency ratio is well under 1/0.15.
   cfg.faults.events = {{1e-6, 0, fault::FaultKind::kDegrade, 0.15, 0}};
-  const FleetResult degraded = ClusterFleet{cfg}.run();
+  const FleetResult degraded = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
   EXPECT_FALSE(degraded.truncated);
   EXPECT_EQ(degraded.offered, degraded.completed_all);
   EXPECT_GT(degraded.mean_latency.value(), healthy.mean_latency.value() * 1.5);
@@ -217,12 +217,7 @@ TEST(Resilience, FaultedRunsAreDeterministicAcrossThreadCounts) {
   for (std::size_t i = 0; i < one.size(); ++i) {
     EXPECT_EQ(one[i].offered, 320u);
     EXPECT_GT(one[i].faults_injected, 0u);
-    EXPECT_GT(four[i].faults_injected, 0u);
-    EXPECT_DOUBLE_EQ(one[i].p99.value(), four[i].p99.value());
-    EXPECT_EQ(one[i].completed_all, four[i].completed_all);
-    EXPECT_EQ(one[i].redispatched, four[i].redispatched);
-    EXPECT_EQ(one[i].hedged, four[i].hedged);
-    EXPECT_EQ(one[i].span_cycles, four[i].span_cycles);
+    EXPECT_TRUE(one[i] == four[i]) << "batch entry " << i;
   }
 }
 
@@ -339,7 +334,7 @@ TEST(ResilienceProperty, AccountingTilesAcrossRandomizedScenarios) {
     }
     cfg.max_cycles = 80'000'000;  // unrecovered crashes truncate quickly
 
-    const FleetResult r = ClusterFleet{cfg}.run();
+    const FleetResult r = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
     SCOPED_TRACE("trial " + std::to_string(trial) + " servers " +
                  std::to_string(cfg.servers) + " seed " + std::to_string(cfg.seed));
     expect_tiling(r);

@@ -41,81 +41,6 @@ TelemetryCapture run_with(const Scenario& s, int shards, int threads) {
   return out;
 }
 
-/// Exhaustive result comparison: every aggregate, ledger, control-loop
-/// and orchestration field, plus the per-tenant slices. EXPECT_EQ on
-/// doubles is deliberate — the contract is bit-identity, not closeness.
-void expect_identical(const FleetResult& a, const FleetResult& b) {
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.admitted, b.admitted);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.shed, b.shed);
-  EXPECT_EQ(a.steered, b.steered);
-  EXPECT_EQ(a.truncated, b.truncated);
-  EXPECT_EQ(a.completed_all, b.completed_all);
-  EXPECT_EQ(a.timed_out, b.timed_out);
-  EXPECT_EQ(a.hedged, b.hedged);
-  EXPECT_EQ(a.hedge_wins, b.hedge_wins);
-  EXPECT_EQ(a.redispatched, b.redispatched);
-  EXPECT_EQ(a.wasted_completions, b.wasted_completions);
-  EXPECT_EQ(a.in_flight, b.in_flight);
-  EXPECT_EQ(a.sla_violations, b.sla_violations);
-  EXPECT_EQ(a.degraded_sla_violations, b.degraded_sla_violations);
-  EXPECT_EQ(a.faults_injected, b.faults_injected);
-  EXPECT_EQ(a.first_fault.value(), b.first_fault.value());
-  EXPECT_EQ(a.recovered, b.recovered);
-  EXPECT_EQ(a.time_to_recover.value(), b.time_to_recover.value());
-  EXPECT_EQ(a.guardband_epochs, b.guardband_epochs);
-  EXPECT_EQ(a.brownout_shed, b.brownout_shed);
-  EXPECT_EQ(a.brownout_epochs, b.brownout_epochs);
-  EXPECT_EQ(a.brownout_stage_epochs, b.brownout_stage_epochs);
-  EXPECT_EQ(a.breaker_trips, b.breaker_trips);
-  EXPECT_EQ(a.breaker_open_epochs, b.breaker_open_epochs);
-  EXPECT_EQ(a.mean_latency.value(), b.mean_latency.value());
-  EXPECT_EQ(a.p50.value(), b.p50.value());
-  EXPECT_EQ(a.p95.value(), b.p95.value());
-  EXPECT_EQ(a.p99.value(), b.p99.value());
-  EXPECT_EQ(a.mean_wait.value(), b.mean_wait.value());
-  EXPECT_EQ(a.goodput, b.goodput);
-  EXPECT_EQ(a.throughput, b.throughput);
-  EXPECT_EQ(a.utilization, b.utilization);
-  EXPECT_EQ(a.server_active_fraction, b.server_active_fraction);
-  EXPECT_EQ(a.span_cycles, b.span_cycles);
-  EXPECT_EQ(a.span_seconds.value(), b.span_seconds.value());
-  EXPECT_EQ(a.energy.value(), b.energy.value());
-  EXPECT_EQ(a.avg_frequency_ghz, b.avg_frequency_ghz);
-  EXPECT_EQ(a.transitions, b.transitions);
-  EXPECT_EQ(a.transition_time_total.value(), b.transition_time_total.value());
-  EXPECT_EQ(a.transition_epochs, b.transition_epochs);
-  EXPECT_EQ(a.qos_violation_epochs, b.qos_violation_epochs);
-  EXPECT_EQ(a.epochs.size(), b.epochs.size());
-  EXPECT_EQ(a.autoscale_parks, b.autoscale_parks);
-  EXPECT_EQ(a.autoscale_unparks, b.autoscale_unparks);
-  EXPECT_EQ(a.autoscale_drains, b.autoscale_drains);
-  EXPECT_EQ(a.emergency_wakes, b.emergency_wakes);
-  EXPECT_EQ(a.parked_seconds.value(), b.parked_seconds.value());
-  EXPECT_EQ(a.wake_energy.value(), b.wake_energy.value());
-  EXPECT_EQ(a.cap_clamp_epochs, b.cap_clamp_epochs);
-  EXPECT_EQ(a.cap_violation_epochs, b.cap_violation_epochs);
-  EXPECT_EQ(a.peak_epoch_power.value(), b.peak_epoch_power.value());
-  ASSERT_EQ(a.tenants.size(), b.tenants.size());
-  for (std::size_t t = 0; t < a.tenants.size(); ++t) {
-    const TenantResult& ta = a.tenants[t];
-    const TenantResult& tb = b.tenants[t];
-    EXPECT_EQ(ta.name, tb.name);
-    EXPECT_EQ(ta.completed, tb.completed);
-    EXPECT_EQ(ta.offered, tb.offered);
-    EXPECT_EQ(ta.shed, tb.shed);
-    EXPECT_EQ(ta.completed_all, tb.completed_all);
-    EXPECT_EQ(ta.timed_out, tb.timed_out);
-    EXPECT_EQ(ta.hedged, tb.hedged);
-    EXPECT_EQ(ta.brownout_shed, tb.brownout_shed);
-    EXPECT_EQ(ta.sla_violations, tb.sla_violations);
-    EXPECT_EQ(ta.p99.value(), tb.p99.value());
-    EXPECT_EQ(ta.energy.value(), tb.energy.value());
-  }
-}
-
 void expect_matrix_invariant(const std::string& scenario_name) {
   const Scenario s = Scenario::by_name(scenario_name);
   const TelemetryCapture reference = run_with(s, /*shards=*/1, /*threads=*/1);
@@ -126,7 +51,9 @@ void expect_matrix_invariant(const std::string& scenario_name) {
       SCOPED_TRACE(scenario_name + " shards=" + std::to_string(shards) +
                    " threads=" + std::to_string(threads));
       const TelemetryCapture got = run_with(s, shards, threads);
-      expect_identical(reference.result, got.result);
+      // Whole-result equality: every field, doubles compared exactly — the
+      // contract is bit-identity, not closeness.
+      EXPECT_TRUE(reference.result == got.result);
       // The telemetry stream must match byte for byte: the trace merge
       // at the epoch barrier assigns the canonical order, and the
       // metrics snapshots are taken serially at the same barrier.
@@ -213,7 +140,7 @@ TEST(FleetRunner, RunsAreRepeatable) {
   const FleetRunner runner{s.fleet_config(ghz(2.0))};
   const FleetResult a = runner.run(RunOptions{.shards = 1, .threads = 1});
   const FleetResult b = runner.run(RunOptions{.shards = 1, .threads = 1});
-  expect_identical(a, b);
+  EXPECT_TRUE(a == b);
 }
 
 }  // namespace

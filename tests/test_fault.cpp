@@ -377,20 +377,8 @@ TEST(FaultDomains, RackLossScenarioIsThreadCountInvariant) {
   const auto four = dc::run_scenarios(scenarios, ghz(2.0), 4);
   ASSERT_EQ(one.size(), 1u);
   ASSERT_EQ(four.size(), 1u);
-  const dc::FleetResult& a = one[0];
-  const dc::FleetResult& b = four[0];
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.span_cycles, b.span_cycles);
-  EXPECT_DOUBLE_EQ(a.p99.value(), b.p99.value());
-  EXPECT_DOUBLE_EQ(a.energy.value(), b.energy.value());
-  EXPECT_EQ(a.faults_injected, b.faults_injected);
-  EXPECT_EQ(a.brownout_shed, b.brownout_shed);
-  EXPECT_EQ(a.brownout_epochs, b.brownout_epochs);
-  EXPECT_EQ(a.brownout_stage_epochs, b.brownout_stage_epochs);
-  EXPECT_EQ(a.breaker_trips, b.breaker_trips);
-  EXPECT_EQ(a.emergency_wakes, b.emergency_wakes);
-  EXPECT_EQ(a.autoscale_unparks, b.autoscale_unparks);
-  EXPECT_DOUBLE_EQ(a.wake_energy.value(), b.wake_energy.value());
+  EXPECT_GT(one[0].faults_injected, 0u);
+  EXPECT_TRUE(one[0] == four[0]);
 }
 
 }  // namespace
