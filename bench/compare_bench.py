@@ -3,6 +3,9 @@
 
 Prints a per-benchmark table of real-time deltas between the previous and
 the newest google-benchmark JSON archive written by bench/run_bench.sh.
+Archives run with NTSERV_BENCH_REPS > 1 are compared by their per-benchmark
+median, and each time carries the repetitions' coefficient of variation
+(±cv), so a delta can be read against the spread.
 Intended as a non-gating trend report (CI runs it when at least two
 archives exist); it always exits 0 unless the files are unreadable.
 
@@ -20,15 +23,27 @@ import sys
 
 
 def load_benchmarks(path):
-    """Map benchmark name -> (real_time, time_unit) for plain iterations."""
+    """Map benchmark name -> (real_time, time_unit, cv).
+
+    Repetitions of one benchmark share its name, so when the archive has
+    a median aggregate row for a benchmark, that row stands for it and the
+    matching cv row gives the spread. Single-run archives have plain
+    iteration rows only; their cv is None.
+    """
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
+    rows = doc.get("benchmarks", [])
     out = {}
-    for b in doc.get("benchmarks", []):
-        # Skip repetition aggregates (_mean/_median/_stddev rows).
-        if b.get("run_type", "iteration") != "iteration":
-            continue
-        out[b["name"]] = (float(b["real_time"]), b.get("time_unit", "ns"))
+    for b in rows:
+        if b.get("run_type", "iteration") == "iteration":
+            out[b.get("run_name", b["name"])] = (float(b["real_time"]),
+                                                 b.get("time_unit", "ns"), None)
+    cvs = {b["run_name"]: float(b["real_time"]) for b in rows
+           if b.get("aggregate_name") == "cv"}
+    for b in rows:
+        if b.get("aggregate_name") == "median":
+            name = b["run_name"]
+            out[name] = (float(b["real_time"]), b.get("time_unit", "ns"), cvs.get(name))
     return out
 
 
@@ -47,25 +62,36 @@ def run_label(path):
     parts = [os.path.basename(path)]
     if ctx.get("git_sha"):
         parts.append(f"sha {ctx['git_sha']}")
+    for key in ("nproc", "compiler", "build_type"):
+        if ctx.get(key):
+            parts.append(f"{key} {ctx[key]}")
     if ctx.get("wakeup_list"):
         parts.append(f"wakeup_list={ctx['wakeup_list']}")
     return ", ".join(parts)
+
+
+def time_text(t, unit, cv):
+    """One archive's time for a benchmark, with its ±cv when repeated."""
+    text = f"{t:.1f}{unit}"
+    return text if cv is None else f"{text} ±{cv * 100.0:.1f}%"
 
 
 def build_rows(old, new):
     """Rows of (name, old_text, new_text, delta_text)."""
     rows = []
     for name in sorted(new):
-        t_new, unit = new[name]
+        t_new, unit, cv_new = new[name]
+        new_text = time_text(t_new, unit, cv_new)
         if name not in old:
-            rows.append((name, "—", f"{t_new:.1f}{unit}", "new"))
+            rows.append((name, "—", new_text, "new"))
             continue
-        t_old, old_unit = old[name]
+        t_old, old_unit, cv_old = old[name]
+        old_text = time_text(t_old, old_unit, cv_old)
         if old_unit != unit or t_old == 0.0:
-            rows.append((name, f"{t_old:.1f}{old_unit}", f"{t_new:.1f}{unit}", "n/a"))
+            rows.append((name, old_text, new_text, "n/a"))
             continue
         delta = (t_new - t_old) / t_old * 100.0
-        rows.append((name, f"{t_old:.1f}{unit}", f"{t_new:.1f}{unit}", f"{delta:+.1f}%"))
+        rows.append((name, old_text, new_text, f"{delta:+.1f}%"))
     for name in sorted(set(old) - set(new)):
         rows.append((name, "(removed)", "", ""))
     return rows
@@ -103,9 +129,9 @@ def main():
 
     rows = build_rows(old, new)
     name_w = max((len(r[0]) for r in rows), default=4)
-    print(f"{'benchmark':<{name_w}}  {'old':>12}  {'new':>12}  {'delta':>8}")
+    print(f"{'benchmark':<{name_w}}  {'old':>20}  {'new':>20}  {'delta':>8}")
     for name, t_old, t_new, delta in rows:
-        print(f"{name:<{name_w}}  {t_old:>12}  {t_new:>12}  {delta:>8}")
+        print(f"{name:<{name_w}}  {t_old:>20}  {t_new:>20}  {delta:>8}")
 
     write_step_summary(title, rows)
     return 0

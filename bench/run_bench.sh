@@ -7,7 +7,10 @@
 #   * NTSERV_THREADS=1 — sweep fan-out width must not depend on the host
 #     (results are bit-identical anyway, but wall-clock is not);
 #   * --benchmark_min_time is pinned (NTSERV_BENCH_MIN_TIME, seconds) so
-#     iteration counts do not float with machine speed.
+#     iteration counts do not float with machine speed;
+#   * NTSERV_BENCH_REPS (default 1) sets --benchmark_repetitions; with more
+#     than one, the archive carries median/cv rows per benchmark, which
+#     compare_bench.py uses.
 # Compare the two newest archives with bench/compare_bench.py.
 #
 # Usage: bench/run_bench.sh [build_dir] [out_dir]
@@ -41,10 +44,24 @@ else
   done
 fi
 
-# Stamp the archive with what produced it: the commit lands in the JSON
-# "context" object, so a diff of two archives can say *which builds* it
-# is comparing (compare_bench.py prints these labels).
-git_sha="$(git -C "$(dirname "$0")/.." rev-parse --short HEAD 2>/dev/null || echo unknown)"
+# Stamp the archive with what produced it: the commit, the host's CPU
+# count, the compiler and the build dir's CMAKE_BUILD_TYPE land in the JSON
+# "context" object, so a diff of two archives can say *which builds on
+# which host* it is comparing (compare_bench.py prints these labels).
+# google-benchmark's own "library_build_type" describes the benchmark
+# library, not this build.
+repo="$(dirname "$0")/.."
+git_sha="$(git -C "${repo}" rev-parse --short HEAD 2>/dev/null || echo unknown)"
+# Sources that differ from HEAD are marked, so the stamp never names a
+# commit whose code the run did not build.
+if [[ "${git_sha}" != unknown ]] && ! git -C "${repo}" diff --quiet HEAD -- 2>/dev/null; then
+  git_sha="${git_sha}-dirty"
+fi
+host_cpus="$(nproc 2>/dev/null || echo unknown)"
+cache="${build_dir}/CMakeCache.txt"
+build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "${cache}" 2>/dev/null || true)"
+cxx="$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' "${cache}" 2>/dev/null || true)"
+compiler="$("${cxx:-c++}" --version 2>/dev/null | head -n 1 || true)"
 # Self-profiling (src/obs phase timers) is on by default: the flag lands
 # in the archive's context, the sweep-point/barrier wall costs surface as
 # per-benchmark counters, and the phase table prints to stderr after the
@@ -56,6 +73,9 @@ NTSERV_THREADS=1 NTSERV_BENCH_PHASE_TIMERS="${phase_timers}" "${bin}" \
   --benchmark_min_time="${NTSERV_BENCH_MIN_TIME:-0.25}" \
   --benchmark_repetitions="${NTSERV_BENCH_REPS:-1}" \
   --benchmark_context=git_sha="${git_sha}" \
+  --benchmark_context=nproc="${host_cpus}" \
+  --benchmark_context=compiler="${compiler:-unknown}" \
+  --benchmark_context=build_type="${build_type:-unknown}" \
   --benchmark_context=phase_timers="${phase_timers}" \
   --benchmark_out="${out}" \
   --benchmark_out_format=json

@@ -393,7 +393,6 @@ void ClusterMemorySystem::handle_dram_completions(Cycle core_now) {
 }
 
 void ClusterMemorySystem::tick(Cycle core_now) {
-  last_core_now_ = core_now;
   mem_accum_ += mem_per_core_cycle_;
   bool acted = false;
   while (mem_accum_ >= 1.0) {
@@ -429,7 +428,6 @@ void ClusterMemorySystem::fast_forward(Cycle core_cycles) {
     }
   }
   dram_.skip(mem_ticks);
-  last_core_now_ += core_cycles;
 }
 
 Cycle ClusterMemorySystem::next_event_core_cycle(Cycle core_now) const {

@@ -235,7 +235,6 @@ class ClusterMemorySystem {
   std::vector<MissCompletion> completions_;
   std::vector<dram::MemResponse> dram_resp_scratch_;  ///< reused per tick
   HierarchyStats stats_;
-  Cycle last_core_now_ = 0;
   bool mem_acted_ = false;
 };
 

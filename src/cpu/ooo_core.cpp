@@ -1,6 +1,7 @@
 #include "cpu/ooo_core.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 
@@ -11,10 +12,14 @@ constexpr std::uint64_t kTagIFetch = 1ull << 63;
 constexpr std::uint64_t kTagStore = 1ull << 62;
 constexpr std::uint64_t kTagMask = kTagIFetch | kTagStore;
 
-/// Heap orders for the wakeup-list scheduler (std::*_heap build max-heaps,
-/// so both comparators are inverted to get minimums at the front).
+/// Wake-calendar order (std::*_heap builds max-heaps, so the comparator
+/// is inverted to get the earliest wake at the front).
 constexpr auto wake_later = [](const auto& a, const auto& b) { return a.at > b.at; };
-constexpr auto seq_greater = [](std::uint64_t a, std::uint64_t b) { return a > b; };
+
+/// Power-of-two ring size holding at least `n` entries.
+std::uint64_t ring_size(int n) {
+  return std::bit_ceil(static_cast<std::uint64_t>(std::max(n, 1)));
+}
 }  // namespace
 
 OooCore::OooCore(CoreParams params, CoreId id, cache::ClusterMemorySystem& memory,
@@ -32,6 +37,14 @@ OooCore::OooCore(CoreParams params, CoreId id, cache::ClusterMemorySystem& memor
   fu_load_.assign(static_cast<std::size_t>(params_.fu_load), 0);
   fu_store_.assign(static_cast<std::size_t>(params_.fu_store), 0);
   fu_branch_.assign(static_cast<std::size_t>(params_.fu_branch), 0);
+
+  const std::uint64_t rob_slots = ring_size(params_.rob_entries);
+  rob_.resize(static_cast<std::size_t>(rob_slots));
+  rob_mask_ = rob_slots - 1;
+  ready_bits_.assign(static_cast<std::size_t>((rob_slots + 63) / 64), 0);
+  const std::uint64_t store_slots = ring_size(params_.store_queue);
+  store_seqs_.assign(static_cast<std::size_t>(store_slots), 0);
+  store_mask_ = store_slots - 1;
 }
 
 void OooCore::reset_stats() {
@@ -40,14 +53,11 @@ void OooCore::reset_stats() {
 }
 
 OooCore::RobEntry* OooCore::find_producer(std::uint64_t seq, std::uint16_t dist) {
-  if (dist == 0 || rob_.empty()) return nullptr;
-  if (seq < dist) return nullptr;
+  if (dist == 0 || seq < dist) return nullptr;
   const std::uint64_t prod_seq = seq - dist;
-  const std::uint64_t head_seq = rob_.front().seq;
-  if (prod_seq < head_seq) return nullptr;  // already committed: ready
-  const std::uint64_t idx = prod_seq - head_seq;
-  if (idx >= rob_.size()) return nullptr;
-  return &rob_[static_cast<std::size_t>(idx)];
+  // Below the head: already committed, so ready.
+  if (prod_seq < head_seq_ || prod_seq >= next_seq_) return nullptr;
+  return &slot(prod_seq);
 }
 
 const OooCore::RobEntry* OooCore::find_producer(std::uint64_t seq, std::uint16_t dist) const {
@@ -108,8 +118,8 @@ void OooCore::do_fetch(Cycle now) {
     ++stats_.fetch_stall_cycles;
     return;
   }
-  for (int slot = 0; slot < params_.width; ++slot) {
-    if (rob_.size() >= static_cast<std::size_t>(params_.rob_entries)) {
+  for (int n = 0; n < params_.width; ++n) {
+    if (rob_full()) {
       ++stats_.rob_full_cycles;
       return;
     }
@@ -118,7 +128,7 @@ void OooCore::do_fetch(Cycle now) {
 
     // Load/store queue occupancy.
     if (op.type == UopType::kLoad && loads_in_flight_ >= params_.load_queue) return;
-    if (op.type == UopType::kStore && stores_in_window_ >= params_.store_queue) return;
+    if (op.type == UopType::kStore && store_queue_full()) return;
 
     // Instruction-side: crossing into a new cache line costs an L1I access.
     const Addr fetch_line = line_base(op.pc);
@@ -144,27 +154,27 @@ void OooCore::do_fetch(Cycle now) {
       }
     }
 
-    RobEntry e;
+    // Dispatch into the ring: the reused slot is reset in full.
+    RobEntry& e = slot(next_seq_);
+    e = RobEntry{};
     e.op = op;
     e.seq = next_seq_++;
     staged_.reset();
 
-    if (op.type == UopType::kBranch) {
+    if (e.op.type == UopType::kBranch) {
       ++stats_.branches;
-      const bool predicted = bpred_.predict(op.pc);
-      bpred_.update(op.pc, op.branch_taken);
-      if (predicted != op.branch_taken) {
+      const bool predicted = bpred_.predict(e.op.pc);
+      bpred_.update(e.op.pc, e.op.branch_taken);
+      if (predicted != e.op.branch_taken) {
         e.mispredicted = true;
         ++stats_.branch_mispredicts;
       }
     }
-    if (op.type == UopType::kLoad) ++loads_in_flight_;
-    if (op.type == UopType::kStore) ++stores_in_window_;
+    if (e.op.type == UopType::kLoad) ++loads_in_flight_;
+    if (e.op.type == UopType::kStore) store_seqs_[store_tail_++ & store_mask_] = e.seq;
 
-    const bool gate = e.mispredicted;
-    rob_.push_back(std::move(e));
-    if (params_.wakeup_list) link_dependencies();
-    if (gate) {
+    if (params_.wakeup_list) link_dependencies(e);
+    if (e.mispredicted) {
       // Mispredict redirect: the front end refetches from the correct
       // target after a fixed pipeline-refill bubble. (Trace-driven model:
       // wrong-path work is charged as this bubble rather than simulated —
@@ -178,11 +188,12 @@ void OooCore::do_fetch(Cycle now) {
 
 bool OooCore::try_issue_entry(RobEntry& e, Cycle now) {
   if (e.op.type == UopType::kLoad) {
-    // Store-to-load forwarding: youngest older store to the same word.
-    const std::uint64_t head_seq = rob_.front().seq;
-    for (std::uint64_t s = e.seq; s-- > head_seq;) {
-      const RobEntry& older = rob_[static_cast<std::size_t>(s - head_seq)];
-      if (older.op.type != UopType::kStore) continue;
+    // Store-to-load forwarding: youngest older store to the same word,
+    // searched over the store-queue index only.
+    for (std::uint64_t i = store_tail_; i-- > store_head_;) {
+      const std::uint64_t s = store_seqs_[i & store_mask_];
+      if (s > e.seq) continue;  // younger than the load
+      const RobEntry& older = slot(s);
       if (older.state == State::kWaiting) continue;  // address unknown
       if ((older.op.mem_addr & ~7ull) == (e.op.mem_addr & ~7ull)) {
         e.state = State::kIssued;
@@ -227,8 +238,7 @@ void OooCore::schedule_wake(std::uint64_t seq, Cycle at) {
   std::push_heap(wake_heap_.begin(), wake_heap_.end(), wake_later);
 }
 
-void OooCore::link_dependencies() {
-  RobEntry& e = rob_.back();
+void OooCore::link_dependencies(RobEntry& e) {
   for (int s = 0; s < 2; ++s) {
     const std::uint16_t d = e.op.src_dist[s];
     if (d == 0) continue;
@@ -251,49 +261,59 @@ void OooCore::wake_consumers(RobEntry& p) {
   std::uint64_t link = p.consumer_head;
   if (link == kNoLink) return;
   p.consumer_head = kNoLink;
-  const std::uint64_t head_seq = rob_.front().seq;
   while (link != kNoLink) {
     const std::uint64_t seq = link >> 1;
-    const int slot = static_cast<int>(link & 1);
-    RobEntry& c = rob_[static_cast<std::size_t>(seq - head_seq)];
-    link = c.next_consumer[slot];
-    c.next_consumer[slot] = kNoLink;
+    const int operand = static_cast<int>(link & 1);
+    RobEntry& c = slot(seq);
+    link = c.next_consumer[operand];
+    c.next_consumer[operand] = kNoLink;
     c.ready_time = std::max(c.ready_time, p.ready_at);
     if (--c.wait_count == 0) schedule_wake(seq, c.ready_time);
   }
 }
 
+bool OooCore::any_ready() const {
+  for (const std::uint64_t word : ready_bits_) {
+    if (word != 0) return true;
+  }
+  return false;
+}
+
 void OooCore::do_issue_wakeup(Cycle now) {
-  // Calendar drain: move every wake event that has come due into the
-  // seq-ordered ready heap. `at` stamps are exact, so no re-evaluation.
+  // Calendar drain: mark every entry whose wake has come due as ready.
+  // `at` stamps are exact, so no re-evaluation.
   while (!wake_heap_.empty() && wake_heap_.front().at <= now) {
-    ready_heap_.push_back(wake_heap_.front().seq);
-    std::push_heap(ready_heap_.begin(), ready_heap_.end(), seq_greater);
+    const std::uint64_t s = wake_heap_.front().seq & rob_mask_;
+    ready_bits_[s >> 6] |= std::uint64_t{1} << (s & 63);
     std::pop_heap(wake_heap_.begin(), wake_heap_.end(), wake_later);
     wake_heap_.pop_back();
   }
-  if (ready_heap_.empty()) return;
 
-  // Pop oldest-first until `width` issue (exactly the polled scan's
-  // order and cutoff). FU-limited or memory-rejected entries retry next
-  // cycle; entries left by the cutoff stay queued.
-  const std::uint64_t head_seq = rob_.front().seq;
+  // Walk the ready bits oldest-first, from the head slot round the ring,
+  // until `width` issue (exactly the polled scan's order and cutoff). Each
+  // ready entry is tried at most once; FU-limited or memory-rejected ones
+  // keep their bit and retry next cycle. Issuing only schedules wakes in
+  // the calendar for later cycles, so the bits do not change mid-walk.
+  const std::size_t words = ready_bits_.size();
+  const std::uint64_t start = head_seq_ & rob_mask_;
+  const std::uint64_t below_start = (std::uint64_t{1} << (start & 63)) - 1;
+  std::size_t w = static_cast<std::size_t>(start >> 6);
+  std::uint64_t bits = ready_bits_[w] & ~below_start;
   int issued = 0;
-  retry_scratch_.clear();
-  while (issued < params_.width && !ready_heap_.empty()) {
-    std::pop_heap(ready_heap_.begin(), ready_heap_.end(), seq_greater);
-    const std::uint64_t seq = ready_heap_.back();
-    ready_heap_.pop_back();
-    RobEntry& e = rob_[static_cast<std::size_t>(seq - head_seq)];
-    if (try_issue_entry(e, now)) {
-      ++issued;
-    } else {
-      retry_scratch_.push_back(seq);
+  // Visit the start word's upper bits, every other word, then the start
+  // word's lower bits (the youngest slots, once the ring has wrapped).
+  for (std::size_t visit = 0; visit <= words; ++visit) {
+    while (bits != 0) {
+      const int b = std::countr_zero(bits);
+      bits &= bits - 1;
+      if (try_issue_entry(rob_[(w << 6) | static_cast<std::size_t>(b)], now)) {
+        ready_bits_[w] &= ~(std::uint64_t{1} << b);
+        if (++issued == params_.width) return;
+      }
     }
-  }
-  for (const std::uint64_t seq : retry_scratch_) {
-    ready_heap_.push_back(seq);
-    std::push_heap(ready_heap_.begin(), ready_heap_.end(), seq_greater);
+    w = w + 1 == words ? 0 : w + 1;
+    bits = ready_bits_[w];
+    if (visit + 1 == words) bits &= below_start;
   }
 }
 
@@ -306,19 +326,14 @@ void OooCore::do_issue(Cycle now) {
 }
 
 void OooCore::do_issue_polled(Cycle now) {
-  if (rob_.empty()) return;
-  const std::uint64_t head_seq = rob_.front().seq;
-  const std::size_t start =
-      first_waiting_seq_ > head_seq ? static_cast<std::size_t>(first_waiting_seq_ - head_seq)
-                                    : 0;
+  if (head_seq_ == next_seq_) return;
   int issued = 0;
   std::uint64_t first_still_waiting = next_seq_;
   bool have_first = false;
-  auto it = rob_.begin() + static_cast<std::ptrdiff_t>(std::min(start, rob_.size()));
-  for (; it != rob_.end(); ++it) {
-    RobEntry& e = *it;
+  for (std::uint64_t seq = std::max(first_waiting_seq_, head_seq_); seq < next_seq_; ++seq) {
+    RobEntry& e = slot(seq);
     if (issued >= params_.width) {
-      if (!have_first) first_still_waiting = e.seq;  // unscanned tail starts here
+      if (!have_first) first_still_waiting = seq;  // unscanned tail starts here
       have_first = true;
       break;
     }
@@ -348,15 +363,15 @@ void OooCore::do_issue_polled(Cycle now) {
 }
 
 void OooCore::do_commit(Cycle now) {
-  for (int n = 0; n < params_.width && !rob_.empty(); ++n) {
-    RobEntry& head = rob_.front();
+  for (int n = 0; n < params_.width && head_seq_ != next_seq_; ++n) {
+    const RobEntry& head = slot(head_seq_);
     if (head.state != State::kIssued || !head.ready_known || head.ready_at > now) return;
 
     if (head.op.type == UopType::kStore) {
       if (store_buffer_.size() >= static_cast<std::size_t>(params_.store_buffer)) return;
       store_buffer_.emplace_back(head.op.mem_addr,
                                  kTagStore | (head.seq & ~kTagMask));
-      --stores_in_window_;
+      ++store_head_;  // the oldest in-window store is this head
       ++stats_.stores;
     }
     if (head.op.type == UopType::kLoad) {
@@ -366,7 +381,7 @@ void OooCore::do_commit(Cycle now) {
     ++stats_.committed_total;
     if (commit_counter_ != nullptr) ++*commit_counter_;
     if (head.op.is_user) ++stats_.committed_user;
-    rob_.pop_front();
+    ++head_seq_;
   }
 }
 
@@ -389,12 +404,8 @@ void OooCore::on_miss_completion(std::uint64_t user_tag, Cycle done) {
   if (user_tag & kTagStore) return;  // posted store echo
   quiet_until_ = std::min(quiet_until_, done);
 
-  if (rob_.empty()) return;
-  const std::uint64_t head_seq = rob_.front().seq;
-  if (user_tag < head_seq) return;
-  const std::uint64_t idx = user_tag - head_seq;
-  if (idx >= rob_.size()) return;
-  RobEntry& e = rob_[static_cast<std::size_t>(idx)];
+  if (user_tag < head_seq_ || user_tag >= next_seq_) return;
+  RobEntry& e = slot(user_tag);
   NTSERV_ENSURES(e.seq == user_tag, "ROB sequence bookkeeping corrupt");
   e.ready_known = true;
   e.ready_at = done;
@@ -408,9 +419,8 @@ void OooCore::on_miss_completion(std::uint64_t user_tag, Cycle done) {
   // Re-bound operand caches pinned on pending misses: dependents of this
   // load can become ready from `done` on. Entries before the first
   // waiting seq are not waiting, so start the walk there.
-  const std::uint64_t first = std::max(first_waiting_seq_, head_seq);
-  for (std::size_t i = static_cast<std::size_t>(first - head_seq); i < rob_.size(); ++i) {
-    RobEntry& w = rob_[i];
+  for (std::uint64_t seq = std::max(first_waiting_seq_, head_seq_); seq < next_seq_; ++seq) {
+    RobEntry& w = slot(seq);
     if (w.state == State::kWaiting && w.not_before > done) w.not_before = done;
   }
 }
@@ -422,7 +432,7 @@ void OooCore::tick(Cycle now) {
     // (same bookkeeping the full pipeline walk would have done).
     if (ifetch_outstanding_ || fetch_blocked_until_ > now) {
       ++stats_.fetch_stall_cycles;
-    } else if (rob_.size() >= static_cast<std::size_t>(params_.rob_entries)) {
+    } else if (rob_full()) {
       ++stats_.rob_full_cycles;
     }
     made_progress_ = false;
@@ -451,8 +461,8 @@ Cycle OooCore::next_event_cycle(Cycle now) const {
   Cycle next = kNeverCycle;
 
   // Commit: the head retires at its completion stamp.
-  if (!rob_.empty()) {
-    const RobEntry& head = rob_.front();
+  if (head_seq_ != next_seq_) {
+    const RobEntry& head = slot(head_seq_);
     if (head.state == State::kIssued && head.ready_known) {
       if (head.ready_at <= now) return now;
       next = std::min(next, head.ready_at);
@@ -468,20 +478,18 @@ Cycle OooCore::next_event_cycle(Cycle now) const {
     // Entries still parked on a producer wake either with that producer
     // (whose own event is covered here or by the memory system) or with
     // a miss completion, which caps quiet_until_.
-    if (!ready_heap_.empty()) return now;  // ready: may be FU-limited, must tick
+    if (any_ready()) return now;  // ready: may be FU-limited, must tick
     if (!wake_heap_.empty()) {
       const Cycle at = wake_heap_.front().at;
       if (at <= now) return now;
       next = std::min(next, at);
     }
-  } else if (!rob_.empty()) {
+  } else {
     // Polled reference: conservative re-derivation over the waiting
     // region (kNever-bounded entries wake via a miss completion, which
     // caps quiet_until_).
-    const std::uint64_t head_seq = rob_.front().seq;
-    const std::uint64_t first = std::max(first_waiting_seq_, head_seq);
-    for (std::size_t i = static_cast<std::size_t>(first - head_seq); i < rob_.size(); ++i) {
-      const RobEntry& e = rob_[i];
+    for (std::uint64_t seq = std::max(first_waiting_seq_, head_seq_); seq < next_seq_; ++seq) {
+      const RobEntry& e = slot(seq);
       if (e.state != State::kWaiting) continue;
       if (e.operands_ok) return now;  // ready: may be FU-limited, must tick
       Cycle ready = e.not_before;
@@ -498,13 +506,12 @@ Cycle OooCore::next_event_cycle(Cycle now) const {
   if (!ifetch_outstanding_) {
     if (fetch_blocked_until_ > now) {
       next = std::min(next, fetch_blocked_until_);
-    } else if (rob_.size() >= static_cast<std::size_t>(params_.rob_entries)) {
+    } else if (rob_full()) {
       // ROB-full: wakes with commit.
     } else if (staged_ && staged_->type == UopType::kLoad &&
                loads_in_flight_ >= params_.load_queue) {
       // Load-queue-full: wakes with commit.
-    } else if (staged_ && staged_->type == UopType::kStore &&
-               stores_in_window_ >= params_.store_queue) {
+    } else if (staged_ && staged_->type == UopType::kStore && store_queue_full()) {
       // Store-queue-full: wakes with commit.
     } else {
       return now;
@@ -520,7 +527,7 @@ void OooCore::note_idle_cycles(Cycle now, Cycle cycles) {
   // whole window.
   if (ifetch_outstanding_ || fetch_blocked_until_ > now) {
     stats_.fetch_stall_cycles += cycles;
-  } else if (rob_.size() >= static_cast<std::size_t>(params_.rob_entries)) {
+  } else if (rob_full()) {
     stats_.rob_full_cycles += cycles;
   }
 }

@@ -7,7 +7,7 @@
 //  * fetch      — up to `width` uops/cycle, gated by L1I line fetches and
 //                 branch-mispredict redirects (predict-at-fetch, resolve-at-
 //                 execute gating; wrong-path work is charged as stall time);
-//  * dispatch   — into a circular ROB window with register renaming via
+//  * dispatch   — into the ROB window with register renaming via
 //                 dependency distances;
 //  * issue      — oldest-first within the window, operand- and FU-limited.
 //                 Two metric-identical schedulers: an event-driven
@@ -19,6 +19,17 @@
 //                 drained from a store buffer at commit;
 //  * commit     — in order, up to `width`/cycle; user-instruction counting
 //                 for the paper's UIPC metric.
+//
+// The window structures allocate nothing after construction. The ROB is a
+// fixed ring of bit_ceil(rob_entries) slots: uop `seq` lives in slot
+// seq & (capacity-1) and [head_seq_, next_seq_) is the window, so an entry
+// is one index away, and dispatch resets a reused slot in full. A second
+// ring, the store-queue index, holds the seqs of in-window stores in
+// dispatch order (pushed at dispatch, popped at commit, at most
+// `store_queue`), so a load's forwarding search visits only the stores,
+// never the whole older window. The wakeup scheduler marks operand-ready
+// entries in a bitmap over ring slots and walks it from the head slot,
+// which is oldest-first order.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +74,8 @@ struct CoreParams {
   BpredParams bpred;
   /// Issue scheduler. true = wakeup-list scheduling: producers push wake
   /// events to their consumers when a result's arrival cycle becomes
-  /// known, and do_issue pops at most `width` ready entries per cycle —
+  /// known, and do_issue tries only ready entries, at most `width` issuing
+  /// per cycle —
   /// cost proportional to instructions issued. false = the reference
   /// polled scan over the waiting ROB region (O(window) per active
   /// cycle). The two are metric-identical (tests/test_perf_kernel.cpp).
@@ -150,7 +162,7 @@ class OooCore {
   [[nodiscard]] CoreId id() const { return id_; }
 
  private:
-  enum class State : std::uint8_t { kWaiting, kIssued, kDone };
+  enum class State : std::uint8_t { kWaiting, kIssued };
 
   /// Null link for the intrusive consumer lists (wakeup-list scheduler).
   static constexpr std::uint64_t kNoLink = ~std::uint64_t{0};
@@ -189,15 +201,26 @@ class OooCore {
   void do_commit(Cycle now);
   void drain_store_buffer(Cycle now);
 
-  /// Wakeup-list scheduler: register the just-dispatched rob_.back() with
+  /// Ring slot of in-window uop `seq`.
+  [[nodiscard]] RobEntry& slot(std::uint64_t seq) { return rob_[seq & rob_mask_]; }
+  [[nodiscard]] const RobEntry& slot(std::uint64_t seq) const { return rob_[seq & rob_mask_]; }
+  [[nodiscard]] bool rob_full() const {
+    return next_seq_ - head_seq_ >= static_cast<std::uint64_t>(params_.rob_entries);
+  }
+  [[nodiscard]] bool store_queue_full() const {
+    return store_tail_ - store_head_ >= static_cast<std::uint64_t>(params_.store_queue);
+  }
+  [[nodiscard]] bool any_ready() const;
+
+  /// Wakeup-list scheduler: register the just-dispatched entry `e` with
   /// its in-flight producers (or schedule its wake directly when every
   /// operand's arrival cycle is already known).
-  void link_dependencies();
+  void link_dependencies(RobEntry& e);
   /// Producer `p` just learned its ready_at: push wake events to the
   /// consumers parked on its list, scheduling any that became fully
   /// resolved.
   void wake_consumers(RobEntry& p);
-  /// Queue entry `seq` to enter the ready heap once `at` arrives.
+  /// Queue entry `seq` to turn ready once `at` arrives.
   void schedule_wake(std::uint64_t seq, Cycle at);
 
   /// Earliest cycle the entry's operands can all be ready: <= now when
@@ -221,7 +244,11 @@ class OooCore {
   UopSource& source_;
   GsharePredictor bpred_;
 
-  std::deque<RobEntry> rob_;
+  /// ROB ring: bit_ceil(rob_entries) slots holding the window
+  /// [head_seq_, next_seq_).
+  std::vector<RobEntry> rob_;
+  std::uint64_t rob_mask_ = 0;
+  std::uint64_t head_seq_ = 0;  ///< oldest in-window seq (== next_seq_ when empty)
   std::uint64_t next_seq_ = 0;
   /// Seq of the oldest still-waiting ROB entry (== next_seq_ when none):
   /// the issue and wake-up scans start here, skipping the issued prefix
@@ -233,6 +260,13 @@ class OooCore {
   Addr current_fetch_line_ = ~0ull;
   bool ifetch_outstanding_ = false;
   std::optional<MicroOp> staged_;  ///< fetched but not yet dispatchable
+
+  /// Store-queue index: seqs of the in-window stores in dispatch order,
+  /// a ring of bit_ceil(store_queue) slots holding [store_head_, store_tail_).
+  std::vector<std::uint64_t> store_seqs_;
+  std::uint64_t store_mask_ = 0;
+  std::uint64_t store_head_ = 0;
+  std::uint64_t store_tail_ = 0;
 
   /// Post-commit store buffer: line addresses awaiting issue to memory.
   std::deque<std::pair<Addr, std::uint64_t>> store_buffer_;
@@ -249,14 +283,13 @@ class OooCore {
   /// next_event_cycle() an exact issue-side bound (tighter than the
   /// polled path's conservative re-derivation).
   std::vector<PendingWake> wake_heap_;
-  /// Min-heap by seq of operand-ready waiting entries, so pops replicate
-  /// the polled scan's oldest-first order. FU-limited or memory-rejected
-  /// entries are re-pushed and retried next cycle.
-  std::vector<std::uint64_t> ready_heap_;
-  std::vector<std::uint64_t> retry_scratch_;  ///< reused per cycle
+  /// One bit per ROB ring slot: the entry's operands are all ready and it
+  /// has not issued yet. Walking the bits from the head slot replicates
+  /// the polled scan's oldest-first order; FU-limited or memory-rejected
+  /// entries keep their bit and retry next cycle.
+  std::vector<std::uint64_t> ready_bits_;
 
   int loads_in_flight_ = 0;
-  int stores_in_window_ = 0;
 
   std::uint64_t* commit_counter_ = nullptr;
   bool made_progress_ = true;

@@ -77,6 +77,7 @@ void Channel::do_activate(const DramCoord& c, Cycle now) {
   auto& bank = rank.banks[static_cast<std::size_t>(c.flat)];
   const auto& t = config_.timing;
 
+  rank.refresh_stale = true;
   bank.active = true;
   bank.open_row = c.row;
   bank.next_pre = std::max(bank.next_pre, now + t.tras);
@@ -95,6 +96,7 @@ void Channel::do_activate(const DramCoord& c, Cycle now) {
 void Channel::do_precharge(const DramCoord& c, Cycle now) {
   auto& rank = ranks_[static_cast<std::size_t>(c.rank)];
   auto& bank = rank.banks[static_cast<std::size_t>(c.flat)];
+  rank.refresh_stale = true;
   bank.active = false;
   bank.next_act = std::max(bank.next_act, now + config_.timing.trp);
   ++stats_.precharges;
@@ -127,6 +129,7 @@ void Channel::do_cas(const Pending& p, bool is_write, Cycle now) {
 
   const Cycle data_start = now + (is_write ? t.cwl : t.cl);
   const Cycle data_end = data_start + t.burst_cycles();
+  rank.refresh_stale = true;  // next_pre moves; closed page also precharges
   data_bus_free_ = data_end;
   stats_.data_bus_busy_cycles += t.burst_cycles();
 
@@ -186,6 +189,7 @@ bool Channel::try_refresh(Cycle now) {
     rank.busy_until = now + config_.timing.trfc;
     rank.next_refresh_due += config_.timing.trefi;
     for (auto& bank : rank.banks) bank.next_act = std::max(bank.next_act, rank.busy_until);
+    rank.refresh_stale = true;
     ++stats_.refreshes;
     return true;
   }
@@ -297,6 +301,25 @@ bool Channel::effective_draining_writes() const {
          (read_q_.empty() && !write_q_.empty());
 }
 
+Cycle Channel::refresh_event_cycle(const Rank& r) const {
+  if (!r.refresh_stale) return r.refresh_bound;
+  // Either the bank-closing PREs or the REF itself.
+  const Cycle due = std::max(r.next_refresh_due, r.busy_until);
+  bool any_active = false;
+  Cycle pre_ready = kNeverCycle;  // earliest PRE among still-open banks
+  Cycle all_act = 0;              // REF is gated like an ACT on every bank
+  for (const auto& b : r.banks) {
+    if (b.active) {
+      any_active = true;
+      pre_ready = std::min(pre_ready, b.next_pre);
+    }
+    all_act = std::max(all_act, b.next_act);
+  }
+  r.refresh_bound = std::max(due, any_active ? pre_ready : all_act);
+  r.refresh_stale = false;
+  return r.refresh_bound;
+}
+
 Cycle Channel::next_event_cycle(Cycle from) const {
   // A previously proven quiet window is itself a (conservative) bound.
   if (from < quiet_until_) return quiet_until_;
@@ -307,21 +330,7 @@ Cycle Channel::next_event_cycle(Cycle from) const {
   // Read bursts in flight retire at their done stamps.
   for (const auto& f : in_flight_) next = std::min(next, f.done);
 
-  // Refresh: per rank, either the bank-closing PREs or the REF itself.
-  for (const auto& r : ranks_) {
-    const Cycle due = std::max(r.next_refresh_due, r.busy_until);
-    bool any_active = false;
-    Cycle pre_ready = kNeverCycle;  // earliest PRE among still-open banks
-    Cycle all_act = 0;              // REF is gated like an ACT on every bank
-    for (const auto& b : r.banks) {
-      if (b.active) {
-        any_active = true;
-        pre_ready = std::min(pre_ready, b.next_pre);
-      }
-      all_act = std::max(all_act, b.next_act);
-    }
-    next = std::min(next, std::max(due, any_active ? pre_ready : all_act));
-  }
+  for (const auto& r : ranks_) next = std::min(next, refresh_event_cycle(r));
 
   // Earliest CAS a queued request could issue (exact mirror of cas_ready's
   // timing terms; requests needing ACT/PRE first are handled below).

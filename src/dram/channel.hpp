@@ -111,6 +111,11 @@ class Channel {
     /// (tRRD_S) and to each bank group (tRRD_L).
     Cycle next_act_any = 0;
     std::vector<Cycle> group_next_act;
+    /// Cached refresh term of next_event_cycle (the bank-closing PREs or
+    /// the REF itself). Every bank or rank state change marks it stale;
+    /// the next query rescans the banks.
+    mutable Cycle refresh_bound = 0;
+    mutable bool refresh_stale = true;
   };
 
   struct Pending {
@@ -132,6 +137,8 @@ class Channel {
   void do_cas(const Pending& p, bool is_write, Cycle now);
 
   [[nodiscard]] Cycle act_allowed_at(const Rank& r, const DramCoord& c) const;
+  /// Earliest cycle rank `r` may issue a refresh-driven PRE or the REF.
+  [[nodiscard]] Cycle refresh_event_cycle(const Rank& r) const;
 
   const DramConfig& config_;
   const AddressMapper& mapper_;

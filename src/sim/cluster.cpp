@@ -111,7 +111,7 @@ ClusterMetrics Cluster::metrics() const {
   ClusterMetrics m;
   m.cycles = now_ - stats_epoch_;
   std::uint64_t committed = 0;
-  std::uint64_t branches = 0, mispredicts = 0;
+  std::uint64_t mispredicts = 0;
   for (const auto& core : cores_) {
     const auto& s = core->stats();
     m.uipc += s.uipc();
@@ -119,7 +119,6 @@ ClusterMetrics Cluster::metrics() const {
     m.issue_utilization += s.issue_utilization(config_.core.width) /
                            static_cast<double>(cores_.size());
     committed += s.committed_total;
-    branches += s.branches;
     mispredicts += s.branch_mispredicts;
   }
   m.memory = memory_.stats();
@@ -132,7 +131,6 @@ ClusterMetrics Cluster::metrics() const {
     m.llc_mpki = static_cast<double>(m.memory.llc_misses) * per_kilo;
     m.branch_mpki = static_cast<double>(mispredicts) * per_kilo;
   }
-  (void)branches;
   return m;
 }
 

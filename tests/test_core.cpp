@@ -222,6 +222,51 @@ TEST(Core, StoreToLoadForwarding) {
   EXPECT_GT(rig.core.stats().load_forwards, 500u);
 }
 
+TEST(Core, ForwardingSkipsUnresolvedStoreForOlderIssuedOne) {
+  // Each 8-uop group: a cold-miss load M, a store S1 to word W, a store S2
+  // to W whose operand is M (so its address stays unknown until the DRAM
+  // miss returns), then a load L of W. L's youngest older same-word store
+  // is the still-waiting S2: L must skip it and forward from S1. Two
+  // stores per group fill the 16-entry store queue, and the run commits
+  // thousands of uops, wrapping the ROB ring many times. Both schedulers
+  // share the forwarding search, so both must hit the same exact counts.
+  const auto gen = [](std::uint64_t i) {
+    MicroOp op = alu_op(i);
+    const Addr word = 0x500000 + ((i / 8) % 64) * 8;
+    switch (i % 8) {
+      case 0:
+        op.type = UopType::kLoad;
+        op.mem_addr = (1ull << 32) + (i * 131071) % (1ull << 30);  // cold miss M
+        break;
+      case 1:
+        op.type = UopType::kStore;  // S1: address known at dispatch
+        op.mem_addr = word;
+        break;
+      case 2:
+        op.type = UopType::kStore;  // S2: address waits on M
+        op.mem_addr = word;
+        op.src_dist[0] = 2;
+        break;
+      case 3:
+        op.type = UopType::kLoad;  // L: reads W
+        op.mem_addr = word;
+        break;
+      default: break;
+    }
+    return op;
+  };
+  for (const bool wakeup : {false, true}) {
+    CoreParams params;
+    params.wakeup_list = wakeup;
+    CoreRig rig{gen, params};
+    while (rig.core.stats().committed_total < 6000 && rig.now < 200'000) rig.run(1);
+    const CoreStats& s = rig.core.stats();
+    EXPECT_EQ(s.load_forwards, 730u) << "wakeup=" << wakeup;
+    EXPECT_EQ(s.committed_total, 6000u) << "wakeup=" << wakeup;
+    EXPECT_EQ(s.cycles, 12462u) << "wakeup=" << wakeup;
+  }
+}
+
 TEST(Core, StoresDrainThroughBuffer) {
   CoreRig rig{[](std::uint64_t i) {
     MicroOp op = alu_op(i);
