@@ -77,26 +77,52 @@ BENCHMARK(BM_ClusterCycle);
 /// The event-skipping kernel against the pure ticked path, on the
 /// memory-bound workload where skipping matters (range arg 0 = ticked,
 /// 1 = event-skipping).
+/// Event skipping against the ticked kernel on identical work: two
+/// clusters built from the same seeds, one ticking every cycle and one
+/// skipping quiet spans, run the same 1000 cycles inside every iteration
+/// (alternating which goes first), so host drift between runs hits both
+/// alike. `skip_speedup` = ticked time / skipping time: above 1 the skip
+/// hint pays for itself.
 void BM_ClusterRunEventSkip(benchmark::State& state) {
-  sim::ClusterConfig cc;
-  cc.core_clock = ghz(2.0);
-  cc.event_skipping = state.range(0) != 0;
-  std::vector<std::unique_ptr<cpu::UopSource>> sources;
-  for (int c = 0; c < 4; ++c) {
-    sources.push_back(std::make_unique<workload::SyntheticWorkload>(
-        workload::WorkloadProfile::data_serving(), 100 + static_cast<std::uint64_t>(c),
-        workload::AddressSpace::for_core(static_cast<CoreId>(c))));
-  }
-  sim::Cluster cluster{cc, std::move(sources)};
-  cluster.run(50'000);  // warm
-  for (auto _ : state) {
+  const auto make = [](bool skipping) {
+    sim::ClusterConfig cc;
+    cc.core_clock = ghz(2.0);
+    cc.event_skipping = skipping;
+    std::vector<std::unique_ptr<cpu::UopSource>> sources;
+    for (int c = 0; c < 4; ++c) {
+      sources.push_back(std::make_unique<workload::SyntheticWorkload>(
+          workload::WorkloadProfile::data_serving(), 100 + static_cast<std::uint64_t>(c),
+          workload::AddressSpace::for_core(static_cast<CoreId>(c))));
+    }
+    auto cluster = std::make_unique<sim::Cluster>(cc, std::move(sources));
+    cluster->run(50'000);  // warm
+    return cluster;
+  };
+  const auto ticked = make(false);
+  const auto skipping = make(true);
+  const auto timed_run = [](sim::Cluster& cluster) {
+    const auto t0 = std::chrono::steady_clock::now();
     cluster.run(1000);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  };
+  double ticked_s = 0.0;
+  double skipping_s = 0.0;
+  bool skipping_first = false;
+  for (auto _ : state) {
+    if (skipping_first) skipping_s += timed_run(*skipping);
+    ticked_s += timed_run(*ticked);
+    if (!skipping_first) skipping_s += timed_run(*skipping);
+    skipping_first = !skipping_first;
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
+  const auto iterations = static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2000);
+  state.counters["ticked_us"] = ticked_s / iterations * 1e6;
+  state.counters["skipping_us"] = skipping_s / iterations * 1e6;
+  state.counters["skip_speedup"] = ticked_s / skipping_s;
   state.counters["skip_frac"] =
-      static_cast<double>(cluster.skipped_cycles()) / static_cast<double>(cluster.now());
+      static_cast<double>(skipping->skipped_cycles()) / static_cast<double>(skipping->now());
 }
-BENCHMARK(BM_ClusterRunEventSkip)->Arg(0)->Arg(1);
+BENCHMARK(BM_ClusterRunEventSkip);
 
 /// One small DSE sweep through the thread pool (range arg = threads).
 void BM_SweepParallel(benchmark::State& state) {
@@ -154,8 +180,8 @@ void BM_ClosedLoopFleet(benchmark::State& state) {
 BENCHMARK(BM_ClosedLoopFleet)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// The sharded intra-run data plane (dc::FleetRunner + ShardPlan): one
-/// governed diurnal fleet run, chips split across `Arg` shards advanced
-/// by `Arg` workers between epoch barriers. The Arg(4) leg also gates
+/// governed diurnal fleet run whose chips are claimed one at a time by
+/// `Arg` workers in each lookahead window. The Arg(4) leg also gates
 /// two contracts inline: the sharded result must be bit-identical to the
 /// serial run (always), and on hosts with >= 4 hardware threads the
 /// sharded run must actually be faster — a soft 1.5x sanity bound, well

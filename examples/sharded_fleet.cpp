@@ -1,14 +1,17 @@
 // Sharded fleet execution: one fleet run split across worker threads
-// with bit-identical results (the PR-10 FleetRunner API).
+// with bit-identical results (the FleetRunner API).
 //
 // The data plane (per-chip cycle advancement — the cache/DRAM/core
-// models, ~all of the wall clock at rack scale) is sharded into
-// contiguous chip ranges and advanced in parallel between epoch
-// barriers; the control plane (dispatch, admission, governors,
-// brownout, autoscaling, telemetry) stays serial at the barrier. The
+// models, ~all of the wall clock at rack scale) runs in lookahead
+// windows: between two fleet-visible events (an arrival, a timer, a
+// fault, the epoch boundary) every busy chip runs its own quanta, and
+// up to min(threads, shard count) workers claim chips one at a time.
+// The control plane (dispatch, admission, governors, brownout,
+// autoscaling, telemetry) stays serial between windows. The
 // determinism contract: ANY shard count x ANY thread count produces a
 // bit-identical FleetResult. This demo runs a governed diurnal fleet
-// serially and sharded, checks identity, and reports the speedup.
+// serially and sharded, checks identity, and reports the speedup (chip
+// construction included: it fans out over the same threads).
 //
 // Build & run:  ./build/example_sharded_fleet [chips] [requests] [threads]
 //   defaults:   ./build/example_sharded_fleet 32 400 <hardware threads>
@@ -56,11 +59,8 @@ int main(int argc, char** argv) {
             << " requests, " << threads << " worker threads ("
             << std::thread::hardware_concurrency() << " hardware threads)\n";
   const dc::ShardPlan plan = runner.plan(dc::RunOptions{.threads = threads});
-  std::cout << "Shard plan: " << plan.shard_count() << " contiguous shards";
-  for (const auto& sh : plan.shards) {
-    std::cout << " [" << sh.first_chip << ".." << sh.first_chip + sh.chips - 1 << "]";
-  }
-  std::cout << "\n\n";
+  std::cout << "Shard plan: " << plan.shard_count()
+            << " shards (caps the workers claiming busy chips each window)\n\n";
 
   dc::FleetResult serial, sharded;
   const double serial_s =

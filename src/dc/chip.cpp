@@ -13,7 +13,7 @@ namespace ntserv::dc {
 namespace {
 
 /// Cycle cap on each cluster's cache warm: a warm that has not committed
-/// its warm_instructions by then stops there.
+/// its instructions by then stops there.
 constexpr Cycle kWarmMaxCycles = 6'000'000;
 
 /// Run context for invariant-violation messages: which chip, when — the
@@ -51,13 +51,15 @@ ChipServer::ChipServer(const ChipParams& params)
           params.profile, cluster_seed + static_cast<std::uint64_t>(c) * 7919,
           workload::AddressSpace::for_core(static_cast<CoreId>(c))));
     }
-    auto cluster = std::make_unique<sim::Cluster>(cc, std::move(sources));
-    cluster->run_until_committed(params.warm_instructions, kWarmMaxCycles);
-    clusters_.push_back(std::move(cluster));
+    clusters_.push_back(std::make_unique<sim::Cluster>(cc, std::move(sources)));
   }
   slots_.resize(static_cast<std::size_t>(params.clusters * cores_per_cluster_));
   busy_per_cluster_.assign(static_cast<std::size_t>(params.clusters), 0);
   tenant_busy_seconds_.assign(static_cast<std::size_t>(params.tenants), 0.0);
+}
+
+void ChipServer::warm(std::uint64_t instructions) {
+  for (auto& cluster : clusters_) cluster->run_until_committed(instructions, kWarmMaxCycles);
 }
 
 void ChipServer::set_frequency(Hertz f) {

@@ -60,7 +60,6 @@ struct ChipParams {
   int clusters = 1;
   workload::WorkloadProfile profile;
   Hertz frequency{2e9};         ///< fleet base frequency (the master clock)
-  std::uint64_t warm_instructions = 600'000;
   std::uint64_t fleet_seed = 1;
   /// Global index of this chip's first cluster: per-cluster workload
   /// streams are a pure function of (fleet seed, global cluster index),
@@ -75,10 +74,16 @@ struct ChipParams {
 /// governor decision.
 class ChipServer {
  public:
+  /// Builds the chip's clusters cold; warm() them before serving.
   explicit ChipServer(const ChipParams& params);
 
   ChipServer(const ChipServer&) = delete;
   ChipServer& operator=(const ChipServer&) = delete;
+
+  /// Architectural cache warm: run every cluster until it has committed
+  /// `instructions` (cluster aggregate; capped in cycles). Chip-local, so
+  /// the chips of a fleet warm in parallel.
+  void warm(std::uint64_t instructions);
 
   [[nodiscard]] int cores() const { return static_cast<int>(slots_.size()); }
   [[nodiscard]] Hertz frequency() const { return frequency_; }

@@ -191,28 +191,31 @@ ClusterFleet::ClusterFleet(FleetConfig config, int build_threads)
       }
     }
   }
-  // Chip construction includes the per-cluster architectural cache warm
-  // (warm_instructions of committed work), which dominates startup at
-  // rack scale. Chips are independent, seed-derived units — every stream
-  // is keyed by the global cluster index — so large fleets build in
-  // parallel into pre-sized slots with state bit-identical to the serial
-  // build. Small fleets stay serial: the pool costs more than it saves.
-  chips_.resize(static_cast<std::size_t>(config_.servers));
-  if (build_threads <= 0) build_threads = sim::ThreadPool::default_threads();
-  const int build_fanout = config_.servers >= 8 ? build_threads : 1;
-  sim::parallel_for_index(build_fanout, chips_.size(), [&](std::size_t i) {
-    const int s = static_cast<int>(i);
+  // The per-cluster architectural cache warm (warm_instructions of
+  // committed work) dominates startup. Chips are independent,
+  // seed-derived units — every stream is keyed by the global cluster
+  // index — so any multi-chip fleet warms in parallel (at most one worker
+  // per chip) with state bit-identical to a serial warm. The chips are
+  // allocated here, on the calling thread: built on the workers, their
+  // long-lived state landed in glibc's per-thread malloc arenas, and five
+  // back-to-back builds of rack-loss-web in one process grew peak RSS
+  // from 18.2 to 21.3 MB, where serial allocation holds 18.4 MB.
+  chips_.reserve(static_cast<std::size_t>(config_.servers));
+  for (int s = 0; s < config_.servers; ++s) {
     ChipParams params;
     params.cluster = config_.cluster;
     params.clusters = config_.clusters_per_chip;
     params.profile = config_.profile;
     params.frequency = config_.frequency;
-    params.warm_instructions = config_.warm_instructions;
     params.fleet_seed = config_.seed;
     params.first_cluster_index = s * config_.clusters_per_chip;
     params.chip_id = s;
     params.tenants = static_cast<int>(config_.tenants.size());
-    chips_[i] = std::make_unique<ChipServer>(params);
+    chips_.push_back(std::make_unique<ChipServer>(params));
+  }
+  if (build_threads <= 0) build_threads = sim::ThreadPool::default_threads();
+  sim::parallel_for_index(build_threads, chips_.size(), [&](std::size_t i) {
+    chips_[i]->warm(config_.warm_instructions);
   });
   if (governed_) {
     for (int s = 0; s < config_.servers; ++s) {
@@ -350,6 +353,11 @@ class RequestLedger {
   [[nodiscard]] std::size_t in_flight() const { return pending_.size(); }
   /// Undisposed requests whose lifetime overlapped a fault window.
   [[nodiscard]] std::uint64_t damaged() const { return damaged_; }
+  /// Requests with two or more live copies: the first to complete cancels
+  /// the others, possibly out of another chip's queue.
+  [[nodiscard]] std::size_t racing() const { return racing_; }
+  /// Cancelled copies still in service (their completion is discarded).
+  [[nodiscard]] std::size_t dead() const { return dead_.size(); }
 
   void open(const Request& req) {
     pending_.emplace(req.id, PendingRequest{req, {}, false, false});
@@ -382,6 +390,21 @@ class RequestLedger {
         }
       }
     }
+  }
+
+  // Every change to a request's live copies goes through these three, so
+  // the racing count stays consistent by construction.
+  void add_copy(PendingRequest& pr, const LiveCopy& lc) {
+    pr.live.push_back(lc);
+    if (pr.live.size() == 2) ++racing_;
+  }
+  void drop_copy(PendingRequest& pr, std::vector<LiveCopy>::iterator it) {
+    if (pr.live.size() == 2) --racing_;
+    pr.live.erase(it);
+  }
+  void clear_copies(PendingRequest& pr) {
+    if (pr.live.size() >= 2) --racing_;
+    pr.live.clear();
   }
 
   [[nodiscard]] std::uint64_t next_copy() { return ++copy_seq_; }
@@ -426,6 +449,7 @@ class RequestLedger {
   /// In-service copies that lost their race (timeout abandonment or a
   /// sibling's win): they run to completion, then are discarded.
   std::unordered_set<std::uint64_t> dead_;
+  std::size_t racing_ = 0;
   std::uint64_t copy_seq_ = 0;
   std::uint64_t damaged_ = 0;
   std::uint64_t disposed_ = 0;
@@ -464,6 +488,16 @@ struct TenantState {
   LatencyStats latency{};
 };
 
+/// One chip's run through a lookahead window: the quanta it was busy for
+/// and the completions it staged, each tagged with its window quantum.
+struct ChipWindow {
+  ChipServer* chip = nullptr;
+  std::size_t quanta = 0;
+  std::vector<Request> done;
+  std::vector<std::size_t> quantum;  ///< parallel to `done`
+  std::size_t drained = 0;           ///< drain cursor into `done`
+};
+
 // Per-epoch metric columns, registered once before any snapshot.
 struct ChipMetricIds {
   obs::MetricsRegistry::Id queue, freq, power, util, breaker, parked, down;
@@ -476,15 +510,15 @@ struct FleetMetricIds {
 
 }  // namespace
 
-/// One fleet run: a quantum loop over named stages — fault delivery, the
-/// epoch barrier, timeouts, dispatch, hedges, the sharded data plane and
-/// completion — then result assembly. Every counter is booked once,
-/// directly on the FleetResult or TenantResult field that reports it.
+/// One fleet run: a loop over named stages — fault delivery, the epoch
+/// barrier, timeouts, dispatch, hedges — each followed by a lookahead
+/// window of the data plane and its completion drain, then result
+/// assembly. Every counter is booked once, directly on the FleetResult or
+/// TenantResult field that reports it.
 class ClusterFleet::Run {
  public:
   Run(ClusterFleet& fleet, const ShardPlan& plan, int threads)
       : fleet_(fleet),
-        plan_(plan),
         res_(fleet.config_.resilience),
         base_f_(fleet.config_.frequency.value()),
         max_s_(static_cast<double>(fleet.config_.max_cycles) / base_f_),
@@ -492,7 +526,8 @@ class ClusterFleet::Run {
         epoch_len_s_(static_cast<double>(fleet.config_.governor.epoch_quanta) * dt_),
         timeout_s_(res_.timeout.value()),
         chip_degraded_(fleet.chips_.size(), 0),
-        done_(plan.shards.size()) {
+        windows_(fleet.chips_.size()) {
+    for (std::size_t s = 0; s < windows_.size(); ++s) windows_[s].chip = fleet.chips_[s].get();
     const FleetConfig& cfg = fleet_.config_;
     r_.workload = cfg.profile.name;
     r_.frequency = cfg.frequency;
@@ -543,9 +578,10 @@ class ClusterFleet::Run {
              m->gauge("fleet.parked_chips"),  m->gauge("fleet.in_flight"),
              m->histogram("fleet.latency_us")};
     }
-    // One persistent pool per run (not per quantum): workers park on the
-    // condition variable between quanta, so the per-quantum cost is one
-    // submit + one wait_idle barrier per shard.
+    // One persistent pool per run (not per window): workers park on the
+    // condition variable between windows, so each window costs one submit
+    // per busy chip and one wait_idle barrier. The plan's shard count caps
+    // the workers.
     const int pool_threads = std::min(threads, plan.shard_count());
     if (pool_threads > 1) pool_ = std::make_unique<sim::ThreadPool>(pool_threads);
   }
@@ -565,15 +601,7 @@ class ClusterFleet::Run {
       expire_deadlines();
       admit_due();
       dispatch_hedges();
-      for (auto& c : fleet_.chips_) c->start_services(now_s_);
-      const bool busy = std::any_of(fleet_.chips_.begin(), fleet_.chips_.end(),
-                                    [](const auto& c) { return c->busy_cores() > 0; });
-      if (busy) {
-        advance_chips();
-        now_s_ += dt_;
-      } else if (!skip_idle()) {
-        break;
-      }
+      if (!run_window() && !skip_idle()) break;
     }
     if (trace != nullptr) trace->set_now(now_s_);
     if (fleet_.governed_) close_epoch(true);
@@ -788,7 +816,7 @@ class ClusterFleet::Run {
       }
     }
     target.queue().push_back(req);
-    pr.live.push_back({req.copy, server});
+    ledger_.add_copy(pr, {req.copy, server});
     if (fleet_.trace_ != nullptr) {
       fleet_.trace_->emit(kind, server, event_s, req.tenant, static_cast<std::int64_t>(req.id));
     }
@@ -987,7 +1015,7 @@ class ClusterFleet::Run {
         fleet_.breakers_[static_cast<std::size_t>(lit->server)].record_failure();
       }
       ledger_.cancel(*lit, chip(lit->server).queue());
-      pr->live.erase(lit);
+      ledger_.drop_copy(*pr, lit);
       if (!pr->live.empty()) continue;  // a sibling copy is still racing
       if (fleet_.admission_.may_retry(pr->proto.attempts)) {
         back_off(*pr, pr->proto, d.due_s, /*charge=*/true);
@@ -1021,9 +1049,9 @@ class ClusterFleet::Run {
     const auto lit = pr->find_copy(req.copy);
     NTSERV_ENSURES(lit != pr->live.end(),
                    "completion for a copy that is neither live nor dead " + context());
-    pr->live.erase(lit);
+    ledger_.drop_copy(*pr, lit);
     for (const LiveCopy& other : pr->live) ledger_.cancel(other, chip(other.server).queue());
-    pr->live.clear();
+    ledger_.clear_copies(*pr);
     if (req.hedge) ++r_.hedge_wins;
     if (fleet_.trace_ != nullptr) {
       fleet_.trace_->emit(obs::EventKind::kComplete, req.server, req.completion_s, req.tenant,
@@ -1127,7 +1155,7 @@ class ClusterFleet::Run {
     for (const Request& r : victims) {
       PendingRequest* pr = ledger_.find(r.id);
       NTSERV_ENSURES(pr != nullptr, "crash victim is untracked " + context());
-      pr->live.erase(pr->find_copy(r.copy));
+      ledger_.drop_copy(*pr, pr->find_copy(r.copy));
       const int target = least_loaded(/*healthy_only=*/true);
       if (target >= 0) {
         enqueue(*pr, r, target, now_s_, Placement::kRedispatch);
@@ -1148,63 +1176,131 @@ class ClusterFleet::Run {
     if (!fault_active() && ledger_.damaged() == 0) recovered_at_ = now_s_;
   }
 
-  // ---- Data plane ----
+  // ---- Data plane: lookahead windows ----
   //
-  // Between barriers, each shard advances its contiguous chip range on
-  // its own worker. ChipServer::advance is chip-local by construction
-  // (clusters, slots, queue, accounting — it never touches fleet or trace
-  // state) and appends its completions to the shard's buffer in
-  // deterministic cluster-major order per chip. The buffers are drained
-  // serially, shard after shard, after the quantum's barrier: ascending
-  // chip index, exactly the order the serial loop completed requests in.
-  // Every shard count and thread count (including the 1-shard serial
-  // plan, which runs the same path) thus produces bit-identical results
-  // and telemetry.
+  // Between two fleet-visible events nothing crosses chips:
+  // ChipServer::start_services and ::advance touch only the chip's own
+  // clusters, slots, queue and accounting, while dispatch, timeouts,
+  // hedges, faults and the epoch barrier wait for the coordinator. So
+  // after the coordinator's stages each busy chip runs its own quanta, on
+  // the same now += dt sequence the serial loop stepped, until the window
+  // ends or the chip first goes idle (without dispatch an idle chip stays
+  // idle). Up to min(threads, shard count) pool workers claim chips one
+  // at a time. Completions are staged per chip with their quantum and
+  // drained serially in (quantum, chip) order with the clock at that
+  // quantum: the order and the clock of the serial loop. Every shard
+  // count and thread count (including the serial plan, which runs the
+  // same path) thus produces bit-identical results and telemetry.
 
-  void advance_shard(std::size_t i) {
-    const ShardRange& sh = plan_.shards[i];
-    for (int s = sh.first_chip; s < sh.first_chip + sh.chips; ++s) {
-      ChipServer& c = chip(s);
-      if (c.in_transition(now_s_)) continue;  // voltage domain mid-swing
-      c.advance(now_s_, dt_, FleetConfig::quantum, done_[i]);
+  /// Run one window from now_s_ and drain it. Returns false, with the
+  /// clock untouched, when no chip has work (the whole fleet is idle).
+  [[nodiscard]] bool run_window() {
+    busy_.clear();
+    for (ChipWindow& w : windows_) {
+      w.chip->start_services(now_s_);
+      if (w.chip->busy_cores() > 0) busy_.push_back(&w);
+    }
+    if (busy_.empty()) return false;
+    const double end_s = window_end();
+    if (pool_ == nullptr || busy_.size() == 1) {
+      for (ChipWindow* w : busy_) run_chip(*w, end_s);
+    } else {
+      pool_->run_indexed(busy_.size(),
+                         [this, end_s](std::size_t i) { run_chip(*busy_[i], end_s); });
+    }
+    drain_window();
+    return true;
+  }
+
+  /// Where the window ends: the first quantum at or after the earliest
+  /// pending fleet-visible event belongs to the coordinator again. While a
+  /// request races two live copies, or a cancelled copy is still in
+  /// service, the window is one quantum: a race's first completion cancels
+  /// its sibling, perhaps out of another chip's queue, and the run stops
+  /// one quantum after its last disposal even if a dead copy still runs.
+  [[nodiscard]] double window_end() const {
+    if (ledger_.racing() > 0 || ledger_.dead() > 0) return now_s_;
+    double end_s = std::min(next_event(), max_s_);
+    if (fleet_.governed_) end_s = std::min(end_s, epoch_start_s_ + epoch_len_s_);
+    return end_s;
+  }
+
+  // Step one chip through the window: advance (unless its voltage domain
+  // is mid-swing), then start the next quantum's services, stopping at
+  // the window end or at the chip's first idle quantum.
+  void run_chip(ChipWindow& w, double end_s) const {
+    ChipServer& c = *w.chip;
+    double t = now_s_;
+    for (;;) {
+      if (!c.in_transition(t)) {
+        c.advance(t, dt_, FleetConfig::quantum, w.done);
+        w.quantum.resize(w.done.size(), w.quanta);
+      }
+      ++w.quanta;
+      t += dt_;
+      if (t >= end_s) return;
+      c.start_services(t);
+      if (c.busy_cores() == 0) return;
     }
   }
 
-  void advance_chips() {
-    if (pool_ == nullptr) {
-      for (std::size_t i = 0; i < done_.size(); ++i) advance_shard(i);
-    } else {
-      pool_->run_indexed(done_.size(), [this](std::size_t i) { advance_shard(i); });
+  // Complete the staged requests quantum by quantum, ascending chip index
+  // within a quantum, with now_s_ and the trace clock at that quantum
+  // (complete() stamps the recovery point with now_s_, and a breaker
+  // closing on a success stamps the trace clock). The clock is left at
+  // the fleet's first idle quantum or the window end. After the quantum
+  // that disposes the last request no chip is busy (a dead copy in
+  // service would have made this a one-quantum window), so the run stops
+  // one quantum past it, as a per-quantum loop would.
+  void drain_window() {
+    std::size_t quanta = 0;
+    for (const ChipWindow* w : busy_) quanta = std::max(quanta, w->quanta);
+    for (std::size_t k = 0; k < quanta; ++k) {
+      if (fleet_.trace_ != nullptr) fleet_.trace_->set_now(now_s_);
+      for (ChipWindow* w : busy_) {
+        while (w->drained < w->done.size() && w->quantum[w->drained] == k) {
+          complete(w->done[w->drained++]);
+        }
+      }
+      now_s_ += dt_;
     }
-    for (auto& buffer : done_) {
-      for (const Request& req : buffer) complete(req);
-      buffer.clear();
+    for (ChipWindow* w : busy_) {
+      w->quanta = 0;
+      w->done.clear();
+      w->quantum.clear();
+      w->drained = 0;
     }
+  }
+
+  /// The earliest pending event no chip can see coming: an arrival, a
+  /// back-off expiry, a timeout, a hedge, a fault, or a stalled chip's
+  /// transition end when it has queued work (infinity when none).
+  [[nodiscard]] double next_event() const {
+    const std::size_t t = next_arrival_tenant();
+    double next = t < tenants_.size() ? tenants_[t].next_arrival_s
+                                      : std::numeric_limits<double>::infinity();
+    const auto& l = ledger_;
+    if (!l.retries.empty()) next = std::min(next, l.retries.top().due_s);
+    if (!l.deadlines.empty()) next = std::min(next, l.deadlines.top().due_s);
+    if (!l.hedges.empty()) next = std::min(next, l.hedges.top().due_s);
+    if (injector_ != nullptr) next = std::min(next, injector_->next_time());
+    for (const auto& c : fleet_.chips_) {
+      if (c->in_transition(now_s_) && !c->queue().empty()) {
+        next = std::min(next, c->stall_until());
+      }
+    }
+    return next;
   }
 
   // Whole fleet idle: every chip would sleep, so jump straight to the
-  // next event — arrival, back-off expiry, timeout, hedge, fault, or a
-  // stalled chip's transition end when it has queued work — on the
-  // base-frequency cycle grid (the fleet-level analogue of event
-  // skipping; the skipped span is credited to sleep in the energy
-  // accounting). Governed runs additionally stop at the epoch boundary so
-  // every chip's governor observes every epoch, idle or not. Returns
-  // false when nothing is left to wait for.
+  // next event on the base-frequency cycle grid (the fleet-level analogue
+  // of event skipping; the skipped span is credited to sleep in the
+  // energy accounting). Governed runs additionally stop at the epoch
+  // boundary so every chip's governor observes every epoch, idle or not.
+  // Returns false when nothing is left to wait for.
   [[nodiscard]] bool skip_idle() {
-    const std::size_t t = next_arrival_tenant();
-    double next_event = t < tenants_.size() ? tenants_[t].next_arrival_s
-                                            : std::numeric_limits<double>::infinity();
-    const auto& l = ledger_;
-    if (!l.retries.empty()) next_event = std::min(next_event, l.retries.top().due_s);
-    if (!l.deadlines.empty()) next_event = std::min(next_event, l.deadlines.top().due_s);
-    if (!l.hedges.empty()) next_event = std::min(next_event, l.hedges.top().due_s);
-    if (injector_ != nullptr) next_event = std::min(next_event, injector_->next_time());
-    for (const auto& c : fleet_.chips_) {
-      if (c->in_transition(now_s_) && !c->queue().empty()) {
-        next_event = std::min(next_event, c->stall_until());
-      }
-    }
-    if (!std::isfinite(next_event)) {
+    const double next = next_event();
+    if (!std::isfinite(next)) {
       // The last request can be disposed *inside* this iteration (a
       // timeout expiry with the fleet already idle).
       if (ledger_.disposed() >= total_) return false;
@@ -1219,7 +1315,7 @@ class ClusterFleet::Run {
       NTSERV_EXPECTS(false, "idle fleet with requests unaccounted for " + context());
     }
     double target =
-        std::max(now_s_ + 1.0 / base_f_, std::ceil(next_event * base_f_) / base_f_);
+        std::max(now_s_ + 1.0 / base_f_, std::ceil(next * base_f_) / base_f_);
     if (fleet_.governed_) target = std::min(target, epoch_start_s_ + epoch_len_s_);
     now_s_ = std::min(target, max_s_);
     return true;
@@ -1486,7 +1582,6 @@ class ClusterFleet::Run {
   }
 
   ClusterFleet& fleet_;
-  const ShardPlan& plan_;
   const ResilienceConfig& res_;
   const double base_f_;
   const double max_s_;
@@ -1525,7 +1620,8 @@ class ClusterFleet::Run {
   FleetMetricIds fm_{};
   std::vector<double> chip_power_w_;  ///< last closed epoch, per chip
 
-  std::vector<std::vector<Request>> done_;  ///< completion buffer per shard
+  std::vector<ChipWindow> windows_;  ///< one per chip, reused window to window
+  std::vector<ChipWindow*> busy_;    ///< chips with work in the current window
   std::unique_ptr<sim::ThreadPool> pool_;
 };
 

@@ -27,18 +27,25 @@
 // distribution, QoS bound and steering class, and FleetResult reports
 // per-tenant percentiles, shed rates and an energy attribution.
 //
-// Intra-run parallelism: one fleet run shards its chips into contiguous
-// ranges (ShardPlan) and advances the shards on a worker pool between
-// epoch barriers. The data plane is shard-local by construction — a
-// chip's advance() touches only its own clusters, slots and queue — and
-// every completion is appended to its shard's completion buffer, then
-// drained serially in ascending chip order, which is exactly the order
-// the serial loop produced. The control plane (dispatch, timeouts, hedges,
-// faults, and the epoch barrier where governor/balancer/brownout/
-// capper/autoscaler act) stays serial. Results and telemetry are
-// therefore bit-identical for ANY shard count and ANY NTSERV_THREADS;
-// sweep-level fan-out (dse::sweep_*, dc::run_scenarios) still
-// parallelizes across whole operating points one level up.
+// Intra-run parallelism (conservative lookahead): the control plane
+// (dispatch, timeouts, hedges, faults, and the epoch barrier where
+// governor/balancer/brownout/capper/autoscaler act) runs serially at the
+// first quantum of a window, and the window then extends to the first
+// quantum whose time reaches the next fleet-visible event (an arrival,
+// a back-off, timeout or hedge falling due, a fault, the epoch boundary,
+// max_cycles, or a stalled chip with queued work resuming) — one quantum
+// while a request races two copies or a cancelled copy is still in
+// service. Inside a window the data plane is chip-local by construction
+// — a chip's start_services()/advance() touch only its own clusters,
+// slots and queue — so every busy chip runs its own quanta, claimed one
+// chip at a time by up to min(threads, ShardPlan::shard_count()) pool
+// workers, and stages its completions with their quantum. The drain
+// completes them serially in (quantum, chip) order with the clock at that
+// quantum: exactly the order and the clock of a per-quantum serial loop.
+// Results and telemetry are therefore bit-identical for ANY shard count
+// and ANY NTSERV_THREADS; sweep-level fan-out (dse::sweep_*,
+// dc::run_scenarios) still parallelizes across whole operating points one
+// level up.
 #pragma once
 
 #include <cstdint>
@@ -239,8 +246,7 @@ struct FleetConfig {
   void validate() const;
 };
 
-/// One contiguous chip range advanced by a single worker between epoch
-/// barriers.
+/// One contiguous chip range of a ShardPlan.
 struct ShardRange {
   int shard = 0;       ///< index of this shard in its plan
   int first_chip = 0;  ///< first chip index (inclusive)
@@ -257,10 +263,11 @@ struct ShardRange {
 /// Deterministic partition of a fleet's chips into contiguous shards.
 /// The plan is a pure function of (servers, shard count, fleet seed):
 /// chips are split as evenly as possible, low-index shards taking the
-/// remainder. Because the sharded data plane stages completions per
-/// chip and drains them in ascending chip order, any plan over the same
-/// fleet yields bit-identical results — the shard count only chooses
-/// the parallel grain.
+/// remainder. A run uses only the shard count: it caps the pool workers
+/// that claim busy chips one at a time in each lookahead window (a range
+/// does not pin its chips to a worker). Because completions are staged
+/// per chip and drained in (quantum, chip) order, any plan over the same
+/// fleet yields bit-identical results.
 struct ShardPlan {
   std::vector<ShardRange> shards;
 
@@ -406,7 +413,8 @@ class ClusterFleet {
  public:
   /// Builds (and cache-warms) every chip. `build_threads` bounds the
   /// construction fan-out: chips are independent, seed-derived units, so
-  /// large fleets warm in parallel with bit-identical state (0 = auto =
+  /// a multi-chip fleet warms in parallel (at most one worker per chip)
+  /// with bit-identical state (0 = auto =
   /// sim::ThreadPool::default_threads(); callers already running inside
   /// a sweep worker should pass 1).
   explicit ClusterFleet(FleetConfig config, int build_threads = 0);
@@ -434,13 +442,14 @@ class ClusterFleet {
   void set_telemetry(obs::Telemetry* telemetry);
 
   /// Run the fleet: drive arrivals until every offered request is
-  /// completed, shed or timed out (or max_cycles elapse), advancing the
-  /// plan's chip ranges on up to `threads` workers between epoch barriers
-  /// (threads <= 0 picks sim::ThreadPool::default_threads()). Completions
-  /// are buffered per shard and drained in ascending chip order at each
-  /// quantum, and the control plane stays serial, so the result AND the
-  /// telemetry stream are bit-identical to the serial run for any plan
-  /// and any thread count. Deterministic — all randomness is seed-derived.
+  /// completed, shed or timed out (or max_cycles elapse), running the busy
+  /// chips of each lookahead window on up to min(threads,
+  /// plan.shard_count()) workers (threads <= 0 picks
+  /// sim::ThreadPool::default_threads()). Completions are staged per chip
+  /// and drained in (quantum, chip) order, and the control plane stays
+  /// serial, so the result AND the telemetry stream are bit-identical to
+  /// the serial run for any plan and any thread count. Deterministic — all
+  /// randomness is seed-derived.
   [[nodiscard]] FleetResult run(const ShardPlan& plan, int threads);
 
  private:

@@ -33,12 +33,12 @@ struct RunOptions {
   /// components are wired. Replaces the ClusterFleet::set_telemetry
   /// side channel. Must outlive the run() call.
   obs::Telemetry* telemetry = nullptr;
-  /// Shard count for the intra-run data plane. 0 = auto:
-  /// min(sim::ThreadPool::default_threads(), servers). 1 = serial grain.
-  /// Any value yields bit-identical results; it only sets the parallel
-  /// grain.
+  /// Shard count for the intra-run data plane: it caps the workers that
+  /// run busy chips in each lookahead window. 0 = auto:
+  /// min(sim::ThreadPool::default_threads(), servers). 1 = serial. Any
+  /// value yields bit-identical results.
   int shards = 0;
-  /// Worker threads advancing the shards. 0 = auto
+  /// Worker threads running the busy chips. 0 = auto
   /// (sim::ThreadPool::default_threads(), i.e. NTSERV_THREADS). Also
   /// bounds the parallel chip-construction fan-out. Bit-identical for
   /// any value. Callers already inside a sweep worker should pass 1.

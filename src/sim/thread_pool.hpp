@@ -3,9 +3,13 @@
 // DSE sweeps evaluate many independent, deterministically-seeded
 // simulations (one fresh cluster per operating point), so they
 // parallelize with no shared mutable state: each task writes only its own
-// result slot. The pool is deliberately minimal — a locked queue and a
-// wait_idle() barrier — because tasks are seconds-long simulations, not
-// microtasks; queue contention is irrelevant.
+// result slot. A fleet run reuses one pool for its lookahead windows:
+// each window submits one task per busy chip (tens of microseconds to
+// milliseconds of simulation) and barriers once. The pool is deliberately
+// minimal — a locked FIFO queue, so idle workers claim the next task one
+// at a time, and a wait_idle() barrier (tens of microseconds on a few
+// threads) — which is cheap next to a window's work but not next to a
+// single quantum's.
 //
 // The default worker count comes from the NTSERV_THREADS environment
 // variable, falling back to the hardware concurrency.
@@ -66,7 +70,7 @@ class ThreadPool {
   /// Run body(i) for i in [0, n) on the pool and barrier: submit all,
   /// wait_idle, rethrow the first captured exception. Unlike
   /// parallel_for_index this reuses a live pool, so callers with a
-  /// per-step fan-out (the sharded fleet advances every quantum) pay a
+  /// per-step fan-out (a fleet run fans out every lookahead window) pay a
   /// submit + barrier, not a pool construction. Each index must write
   /// only its own state.
   template <typename Body>
