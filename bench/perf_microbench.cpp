@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <string>
 #include <thread>
 
 #include "ntserv/ntserv.hpp"
@@ -159,7 +160,7 @@ void BM_ClosedLoopFleet(benchmark::State& state) {
   // archived BENCH JSON, so control-plane overhead is tracked PR over PR.
   obs::Telemetry telemetry;
   telemetry.timers.enable();
-  const dc::RunOptions options{.telemetry = &telemetry, .shards = 1, .threads = 1};
+  const dc::RunOptions options{.telemetry = &telemetry, .threads = 1};
   for (auto _ : state) {
     benchmark::DoNotOptimize(dc::run_scenario(s, ghz(2.0), options));
   }
@@ -179,22 +180,23 @@ void BM_ClosedLoopFleet(benchmark::State& state) {
 }
 BENCHMARK(BM_ClosedLoopFleet)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-/// The sharded intra-run data plane (dc::FleetRunner + ShardPlan): one
-/// governed diurnal fleet run whose chips are claimed one at a time by
-/// `Arg` workers in each lookahead window. The Arg(4) leg also gates
-/// two contracts inline: the sharded result must be bit-identical to the
+/// The parallel intra-run data plane (dc::FleetRunner): one governed
+/// diurnal fleet run whose chips are claimed one at a time by `Arg`
+/// workers in each lookahead window. The Arg(4) leg also gates two
+/// contracts inline: the 4-worker result must be bit-identical to the
 /// serial run (always), and on hosts with >= 4 hardware threads the
-/// sharded run must actually be faster — a soft 1.5x sanity bound, well
+/// 4-worker run must actually be faster — a soft 1.5x sanity bound, well
 /// under the >= 3x the scaling demo shows at 8 threads on idle machines
 /// (see docs/performance.md "Sharded fleet execution").
 void BM_ShardedFleet(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   dc::Scenario s = dc::Scenario::by_name("webserving-diurnal-ntcboost");
-  s.servers = 16;  // enough chips that every shard carries real work
+  s.servers = 16;  // enough chips that every worker carries real work
   s.tenants[0].requests = 240;
   s.tenants[0].warmup_requests = 24;
   const dc::FleetRunner runner{s.fleet_config(ghz(2.0))};
-  const dc::RunOptions options{.shards = threads, .threads = threads};
+  const dc::RunOptions options{.threads = threads};
+  state.SetLabel(std::to_string(threads) + (threads == 1 ? " worker" : " workers"));
   for (auto _ : state) {
     benchmark::DoNotOptimize(runner.run(options));
   }
@@ -207,16 +209,16 @@ void BM_ShardedFleet(benchmark::State& state) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
         .count();
   };
-  dc::FleetResult serial, sharded;
-  const double serial_s = wall(dc::RunOptions{.shards = 1, .threads = 1}, serial);
-  const double sharded_s = wall(options, sharded);
-  if (serial != sharded) {  // every FleetResult field, doubles compared exactly
-    state.SkipWithError("sharded run diverged from the serial reference");
+  dc::FleetResult serial, parallel;
+  const double serial_s = wall(dc::RunOptions{.threads = 1}, serial);
+  const double parallel_s = wall(options, parallel);
+  if (serial != parallel) {  // every FleetResult field, doubles compared exactly
+    state.SkipWithError("4-worker run diverged from the serial reference");
     return;
   }
-  state.counters["speedup_4t"] = serial_s / sharded_s;
-  if (std::thread::hardware_concurrency() >= 4 && serial_s / sharded_s < 1.5) {
-    state.SkipWithError("sharded fleet under the 1.5x speedup bound at 4 threads");
+  state.counters["speedup_4t"] = serial_s / parallel_s;
+  if (std::thread::hardware_concurrency() >= 4 && serial_s / parallel_s < 1.5) {
+    state.SkipWithError("parallel fleet under the 1.5x speedup bound on 4 workers");
   }
 }
 BENCHMARK(BM_ShardedFleet)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);

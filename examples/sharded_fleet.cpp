@@ -1,22 +1,23 @@
-// Sharded fleet execution: one fleet run split across worker threads
+// Parallel fleet execution: one fleet run split across worker threads
 // with bit-identical results (the FleetRunner API).
 //
 // The data plane (per-chip cycle advancement — the cache/DRAM/core
 // models, ~all of the wall clock at rack scale) runs in lookahead
 // windows: between two fleet-visible events (an arrival, a timer, a
 // fault, the epoch boundary) every busy chip runs its own quanta, and
-// up to min(threads, shard count) workers claim chips one at a time.
-// The control plane (dispatch, admission, governors, brownout,
-// autoscaling, telemetry) stays serial between windows. The
-// determinism contract: ANY shard count x ANY thread count produces a
-// bit-identical FleetResult. This demo runs a governed diurnal fleet
-// serially and sharded, checks identity, and reports the speedup (chip
-// construction included: it fans out over the same threads).
+// up to min(threads, chips) workers claim chips one at a time. The
+// control plane (dispatch, admission, governors, brownout, autoscaling,
+// telemetry) stays serial between windows. The determinism contract:
+// ANY worker count produces a bit-identical FleetResult. This demo runs
+// a governed diurnal fleet serially and in parallel, checks identity,
+// and reports the speedup (chip construction included: it fans out over
+// the same workers).
 //
 // Build & run:  ./build/example_sharded_fleet [chips] [requests] [threads]
 //   defaults:   ./build/example_sharded_fleet 32 400 <hardware threads>
 // The acceptance-scale run (>= 500 chips, >= 3x at 8 threads on an idle
 // >= 8-core host):  ./build/example_sharded_fleet 512 4000 8
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -55,32 +56,28 @@ int main(int argc, char** argv) {
   traffic.warmup_requests = requests / 10;
   const dc::FleetRunner runner{config};
 
-  std::cout << "Sharded fleet execution: " << chips << " chips, " << requests
-            << " requests, " << threads << " worker threads ("
-            << std::thread::hardware_concurrency() << " hardware threads)\n";
-  const dc::ShardPlan plan = runner.plan(dc::RunOptions{.threads = threads});
-  std::cout << "Shard plan: " << plan.shard_count()
-            << " shards (caps the workers claiming busy chips each window)\n\n";
+  // The run caps its workers at the fleet size (0 threads = NTSERV_THREADS).
+  const int workers = std::min(sim::resolve_threads(threads), chips);
+  std::cout << "Parallel fleet execution: " << chips << " chips, " << requests
+            << " requests, " << workers << " workers ("
+            << std::thread::hardware_concurrency() << " hardware threads)\n\n";
 
-  dc::FleetResult serial, sharded;
-  const double serial_s =
-      wall_seconds(runner, dc::RunOptions{.shards = 1, .threads = 1}, serial);
-  std::cout << "serial   (1 shard,  1 thread):  " << serial_s << " s, p99 "
-            << in_us(serial.p99) << " us, completed " << serial.completed_all
-            << ", energy " << serial.energy.value() * 1e3 << " mJ\n";
-  const double sharded_s =
-      wall_seconds(runner, dc::RunOptions{.threads = threads}, sharded);
-  std::cout << "sharded  (" << plan.shard_count() << " shards, " << threads
-            << " threads): " << sharded_s << " s, p99 " << in_us(sharded.p99)
-            << " us, completed " << sharded.completed_all << ", energy "
-            << sharded.energy.value() * 1e3 << " mJ\n\n";
+  dc::FleetResult serial, parallel;
+  const double serial_s = wall_seconds(runner, dc::RunOptions{.threads = 1}, serial);
+  std::cout << "serial   (1 worker):  " << serial_s << " s, p99 " << in_us(serial.p99)
+            << " us, completed " << serial.completed_all << ", energy "
+            << serial.energy.value() * 1e3 << " mJ\n";
+  const double parallel_s =
+      wall_seconds(runner, dc::RunOptions{.threads = workers}, parallel);
+  std::cout << "parallel (" << workers << " workers): " << parallel_s << " s, p99 "
+            << in_us(parallel.p99) << " us, completed " << parallel.completed_all
+            << ", energy " << parallel.energy.value() * 1e3 << " mJ\n\n";
 
-  if (serial != sharded) {  // whole-result bit-identity
-    std::cout << "FAIL: sharded run diverged from the serial reference\n";
+  if (serial != parallel) {  // whole-result bit-identity
+    std::cout << "FAIL: parallel run diverged from the serial reference\n";
     return 1;
   }
   std::cout << "bit-identical: yes\n"
-            << "speedup: " << serial_s / sharded_s << "x at " << threads
-            << " threads\n";
+            << "speedup: " << serial_s / parallel_s << "x on " << workers << " workers\n";
   return 0;
 }

@@ -26,10 +26,6 @@ namespace {
 /// outstanding count is below this many requests per core.
 constexpr double kPackDepthPerCore = 2.0;
 
-/// Salt for the per-shard seed stream: ShardPlan seeds must never
-/// collide with the tenant (0xA441/0xB0D6) or workload (0x5E28) streams.
-constexpr std::uint64_t kShardSeedSalt = 0x5A4Dull;
-
 }  // namespace
 
 const char* to_string(BalancePolicy p) {
@@ -121,46 +117,13 @@ void FleetConfig::validate() const {
   }
 }
 
-ShardPlan ShardPlan::serial(int servers, std::uint64_t fleet_seed) {
-  return make(servers, 1, fleet_seed);
+ShardPlan ShardPlan::serial(int /*servers*/, std::uint64_t /*fleet_seed*/) { return {}; }
+
+ShardPlan ShardPlan::make(int servers, int shards, std::uint64_t /*fleet_seed*/) {
+  return {std::min(sim::resolve_threads(shards), servers)};
 }
 
-ShardPlan ShardPlan::make(int servers, int shards, std::uint64_t fleet_seed) {
-  NTSERV_EXPECTS(servers > 0, "a shard plan needs at least one chip");
-  if (shards <= 0) shards = sim::ThreadPool::default_threads();
-  shards = std::min(shards, servers);
-  ShardPlan plan;
-  plan.shards.reserve(static_cast<std::size_t>(shards));
-  // Balanced contiguous split: the first (servers % shards) shards carry
-  // one extra chip. Contiguity keeps each shard's chips adjacent in
-  // chips_ (cache locality) and makes the drain order argument trivial.
-  const int base = servers / shards;
-  const int extra = servers % shards;
-  int next = 0;
-  for (int i = 0; i < shards; ++i) {
-    ShardRange r;
-    r.shard = i;
-    r.first_chip = next;
-    r.chips = base + (i < extra ? 1 : 0);
-    r.seed = derive_seed(fleet_seed, kShardSeedSalt + static_cast<std::uint64_t>(i));
-    next += r.chips;
-    plan.shards.push_back(r);
-  }
-  return plan;
-}
-
-void ShardPlan::validate(int servers) const {
-  NTSERV_EXPECTS(!shards.empty(), "a shard plan needs at least one shard");
-  int next = 0;
-  for (const auto& r : shards) {
-    NTSERV_EXPECTS(r.chips > 0, "shard plans must not carry empty shards");
-    NTSERV_EXPECTS(r.first_chip == next, "shard plan ranges must tile contiguously");
-    next += r.chips;
-  }
-  NTSERV_EXPECTS(next == servers, "shard plan must cover every chip exactly once");
-}
-
-ClusterFleet::ClusterFleet(FleetConfig config, int build_threads)
+ClusterFleet::ClusterFleet(FleetConfig config, int threads)
     : config_(std::move(config)), admission_(config_.admission) {
   config_.validate();
   governed_ = config_.governor.kind != ctrl::GovernorKind::kNone;
@@ -213,8 +176,7 @@ ClusterFleet::ClusterFleet(FleetConfig config, int build_threads)
     params.tenants = static_cast<int>(config_.tenants.size());
     chips_.push_back(std::make_unique<ChipServer>(params));
   }
-  if (build_threads <= 0) build_threads = sim::ThreadPool::default_threads();
-  sim::parallel_for_index(build_threads, chips_.size(), [&](std::size_t i) {
+  sim::parallel_for_index(threads, chips_.size(), [&](std::size_t i) {
     chips_[i]->warm(config_.warm_instructions);
   });
   if (governed_) {
@@ -420,7 +382,8 @@ class RequestLedger {
     }
     dead_.insert(lc.copy);
   }
-  /// A completion of a cancelled copy: forget the copy, report waste.
+  /// A cancelled copy's service ended (it completed, or its chip
+  /// crashed): forget the copy, report waste.
   [[nodiscard]] bool discard(std::uint64_t copy) { return dead_.erase(copy) > 0; }
 
   /// End of run: attribute the undisposed requests to their tenants as
@@ -517,7 +480,7 @@ struct FleetMetricIds {
 /// TenantResult field that reports it.
 class ClusterFleet::Run {
  public:
-  Run(ClusterFleet& fleet, const ShardPlan& plan, int threads)
+  Run(ClusterFleet& fleet, int threads)
       : fleet_(fleet),
         res_(fleet.config_.resilience),
         base_f_(fleet.config_.frequency.value()),
@@ -580,10 +543,9 @@ class ClusterFleet::Run {
     }
     // One persistent pool per run (not per window): workers park on the
     // condition variable between windows, so each window costs one submit
-    // per busy chip and one wait_idle barrier. The plan's shard count caps
-    // the workers.
-    const int pool_threads = std::min(threads, plan.shard_count());
-    if (pool_threads > 1) pool_ = std::make_unique<sim::ThreadPool>(pool_threads);
+    // per busy chip and one wait_idle barrier. No more workers than chips.
+    const int workers = std::min(sim::resolve_threads(threads), fleet_.servers());
+    if (workers > 1) pool_ = std::make_unique<sim::ThreadPool>(workers);
   }
 
   [[nodiscard]] FleetResult execute() {
@@ -1136,6 +1098,14 @@ class ClusterFleet::Run {
     ChipServer& victim = chip(s);
     std::vector<Request> victims = victim.crash(now_s_);
     ledger_.damage_residents(s);
+    // A cancelled (dead) copy in service would only have its completion
+    // discarded: the crash discards it now, as wasted work, and neither
+    // re-runs nor re-places it. Queues never hold dead copies.
+    std::erase_if(victims, [this](const Request& r) {
+      if (!ledger_.discard(r.copy)) return false;
+      ++r_.wasted_completions;
+      return true;
+    });
     if (!res_.failover) {
       // Health-blind dispatch: the in-flight losses restart on this same
       // chip at recovery, ahead of the queued backlog (they are older),
@@ -1155,7 +1125,10 @@ class ClusterFleet::Run {
     for (const Request& r : victims) {
       PendingRequest* pr = ledger_.find(r.id);
       NTSERV_ENSURES(pr != nullptr, "crash victim is untracked " + context());
-      ledger_.drop_copy(*pr, pr->find_copy(r.copy));
+      const auto lit = pr->find_copy(r.copy);
+      NTSERV_ENSURES(lit != pr->live.end(),
+                     "crash victim is neither live nor dead " + context());
+      ledger_.drop_copy(*pr, lit);
       const int target = least_loaded(/*healthy_only=*/true);
       if (target >= 0) {
         enqueue(*pr, r, target, now_s_, Placement::kRedispatch);
@@ -1185,12 +1158,12 @@ class ClusterFleet::Run {
   // after the coordinator's stages each busy chip runs its own quanta, on
   // the same now += dt sequence the serial loop stepped, until the window
   // ends or the chip first goes idle (without dispatch an idle chip stays
-  // idle). Up to min(threads, shard count) pool workers claim chips one
-  // at a time. Completions are staged per chip with their quantum and
-  // drained serially in (quantum, chip) order with the clock at that
-  // quantum: the order and the clock of the serial loop. Every shard
-  // count and thread count (including the serial plan, which runs the
-  // same path) thus produces bit-identical results and telemetry.
+  // idle). Up to min(threads, servers) pool workers claim chips one at a
+  // time. Completions are staged per chip with their quantum and drained
+  // serially in (quantum, chip) order with the clock at that quantum: the
+  // order and the clock of the serial loop. Every worker count (one
+  // worker runs the same path) thus produces bit-identical results and
+  // telemetry.
 
   /// Run one window from now_s_ and drain it. Returns false, with the
   /// clock untouched, when no chip has work (the whole fleet is idle).
@@ -1625,11 +1598,13 @@ class ClusterFleet::Run {
   std::unique_ptr<sim::ThreadPool> pool_;
 };
 
-FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
-  plan.validate(servers());
-  if (threads <= 0) threads = sim::ThreadPool::default_threads();
+FleetResult ClusterFleet::run(int threads) {
   obs::PhaseTimers::Scope run_scope(timers_, "fleet-run");
-  return Run{*this, plan, threads}.execute();
+  return Run{*this, threads}.execute();
+}
+
+FleetResult ClusterFleet::run(const ShardPlan& plan, int threads) {
+  return run(std::min(sim::resolve_threads(threads), plan.shard_count()));
 }
 
 Joule fleet_energy(const FleetResult& result, const pm::PowerManager& manager,

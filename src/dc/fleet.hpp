@@ -38,14 +38,13 @@
 // service. Inside a window the data plane is chip-local by construction
 // — a chip's start_services()/advance() touch only its own clusters,
 // slots and queue — so every busy chip runs its own quanta, claimed one
-// chip at a time by up to min(threads, ShardPlan::shard_count()) pool
-// workers, and stages its completions with their quantum. The drain
-// completes them serially in (quantum, chip) order with the clock at that
-// quantum: exactly the order and the clock of a per-quantum serial loop.
-// Results and telemetry are therefore bit-identical for ANY shard count
-// and ANY NTSERV_THREADS; sweep-level fan-out (dse::sweep_*,
-// dc::run_scenarios) still parallelizes across whole operating points one
-// level up.
+// chip at a time by up to min(threads, servers) pool workers, and stages
+// its completions with their quantum. The drain completes them serially
+// in (quantum, chip) order with the clock at that quantum: exactly the
+// order and the clock of a per-quantum serial loop. Results and
+// telemetry are therefore bit-identical for ANY worker count;
+// sweep-level fan-out (dse::sweep_*, dc::run_scenarios) still
+// parallelizes across whole operating points one level up.
 #pragma once
 
 #include <cstdint>
@@ -117,7 +116,8 @@ struct ResilienceConfig {
   /// keeps landing on the dead chip's queue and waits out the outage,
   /// and in-flight requests restart on the same chip at recovery.
   /// Nothing is lost either way; without failover the tail pays for the
-  /// whole outage.
+  /// whole outage. A crash discards a cancelled copy in service (counted
+  /// in wasted_completions) instead of re-running or moving it.
   bool failover = false;
   /// Per-attempt client timeout (0 = none): an attempt not completed
   /// within `timeout` of the instant it was offered to a chip is
@@ -246,42 +246,19 @@ struct FleetConfig {
   void validate() const;
 };
 
-/// One contiguous chip range of a ShardPlan.
-struct ShardRange {
-  int shard = 0;       ///< index of this shard in its plan
-  int first_chip = 0;  ///< first chip index (inclusive)
-  int chips = 0;       ///< number of contiguous chips
-  /// Shard stream identity, derived from the fleet seed with the same
-  /// SplitMix derivation as the per-point sweep seeds. The determinism
-  /// contract (results bit-identical across shard counts) forbids any
-  /// result-affecting shard-local randomness, so the data plane never
-  /// draws from it; it seeds shard-local diagnostics (e.g. sampled
-  /// debug logging) so those too are reproducible per shard.
-  std::uint64_t seed = 0;
-};
-
-/// Deterministic partition of a fleet's chips into contiguous shards.
-/// The plan is a pure function of (servers, shard count, fleet seed):
-/// chips are split as evenly as possible, low-index shards taking the
-/// remainder. A run uses only the shard count: it caps the pool workers
-/// that claim busy chips one at a time in each lookahead window (a range
-/// does not pin its chips to a worker). Because completions are staged
-/// per chip and drained in (quantum, chip) order, any plan over the same
-/// fleet yields bit-identical results.
+/// A worker cap for ClusterFleet::run(const ShardPlan&, int). Kept only
+/// so perfbench/driver.cpp, which times construction apart from the run,
+/// builds unchanged; everything else passes a worker count
+/// (RunOptions::threads).
 struct ShardPlan {
-  std::vector<ShardRange> shards;
+  int workers = 1;
 
-  [[nodiscard]] int shard_count() const { return static_cast<int>(shards.size()); }
+  [[nodiscard]] int shard_count() const { return workers; }
 
-  /// Single shard covering every chip: the serial execution grain.
+  /// One worker.
   [[nodiscard]] static ShardPlan serial(int servers, std::uint64_t fleet_seed);
-
-  /// Balanced plan with `shards` shards (clamped to [1, servers]);
-  /// shards <= 0 picks min(sim::ThreadPool::default_threads(), servers).
+  /// min(sim::resolve_threads(shards), servers) workers; the seed is unused.
   [[nodiscard]] static ShardPlan make(int servers, int shards, std::uint64_t fleet_seed);
-
-  /// A plan must tile [0, servers) contiguously with non-empty shards.
-  void validate(int servers) const;
 };
 
 /// Aggregate outcome of one fleet run.
@@ -407,17 +384,17 @@ struct FleetResult {
 /// N ChipServer instances behind one dispatcher.
 ///
 /// This is the execution engine; prefer driving it through
-/// dc::FleetRunner (dc/runner.hpp), which validates the config, builds
-/// the shard plan and wires telemetry through one options argument.
+/// dc::FleetRunner (dc/runner.hpp), which validates the config and wires
+/// telemetry and the worker count through one options argument.
 class ClusterFleet {
  public:
-  /// Builds (and cache-warms) every chip. `build_threads` bounds the
+  /// Builds (and cache-warms) every chip. `threads` bounds the
   /// construction fan-out: chips are independent, seed-derived units, so
   /// a multi-chip fleet warms in parallel (at most one worker per chip)
-  /// with bit-identical state (0 = auto =
-  /// sim::ThreadPool::default_threads(); callers already running inside
-  /// a sweep worker should pass 1).
-  explicit ClusterFleet(FleetConfig config, int build_threads = 0);
+  /// with bit-identical state (0 = NTSERV_THREADS, see
+  /// sim::resolve_threads; callers already running inside a sweep worker
+  /// should pass 1).
+  explicit ClusterFleet(FleetConfig config, int threads = 0);
 
   ClusterFleet(const ClusterFleet&) = delete;
   ClusterFleet& operator=(const ClusterFleet&) = delete;
@@ -443,13 +420,15 @@ class ClusterFleet {
 
   /// Run the fleet: drive arrivals until every offered request is
   /// completed, shed or timed out (or max_cycles elapse), running the busy
-  /// chips of each lookahead window on up to min(threads,
-  /// plan.shard_count()) workers (threads <= 0 picks
-  /// sim::ThreadPool::default_threads()). Completions are staged per chip
-  /// and drained in (quantum, chip) order, and the control plane stays
+  /// chips of each lookahead window on up to min(threads, servers())
+  /// workers (0 = NTSERV_THREADS). Completions are staged per chip and
+  /// drained in (quantum, chip) order, and the control plane stays
   /// serial, so the result AND the telemetry stream are bit-identical to
-  /// the serial run for any plan and any thread count. Deterministic — all
-  /// randomness is seed-derived.
+  /// the serial run for any worker count. Deterministic — all randomness
+  /// is seed-derived.
+  [[nodiscard]] FleetResult run(int threads);
+  /// run() on at most plan.shard_count() workers; kept only for
+  /// perfbench/driver.cpp (see ShardPlan).
   [[nodiscard]] FleetResult run(const ShardPlan& plan, int threads);
 
  private:

@@ -683,7 +683,6 @@ obs::TraceMeta trace_meta(const Scenario& scenario) {
 
 std::vector<FleetResult> run_scenarios(const std::vector<Scenario>& scenarios, Hertz f,
                                        int threads) {
-  if (threads <= 0) threads = sim::ThreadPool::default_threads();
   std::vector<FleetResult> results(scenarios.size());
   sim::parallel_for_index(threads, scenarios.size(), [&](std::size_t i) {
     results[i] = run_scenario(scenarios[i], f);

@@ -46,21 +46,20 @@ struct Scenario : FleetConfig {
                                    std::uint64_t user_instructions_per_request);
 
 /// Run one scenario at frequency `f` through dc::FleetRunner. The default
-/// options run serially (one shard, one thread): scenario runs usually
-/// ride inside a sweep-level fan-out (run_scenarios, dse::sweep_*) that
-/// already owns the cores. Pass RunOptions to attach telemetry or shard
-/// the data plane; results and telemetry are bit-identical for any
-/// options.shards/threads.
-[[nodiscard]] FleetResult run_scenario(
-    const Scenario& scenario, Hertz f,
-    const RunOptions& options = RunOptions{.shards = 1, .threads = 1});
+/// options run serially (one worker): scenario runs usually ride inside a
+/// sweep-level fan-out (run_scenarios, dse::sweep_*) that already owns the
+/// cores. Pass RunOptions to attach telemetry or run the data plane on
+/// more workers; results and telemetry are bit-identical for any
+/// options.threads.
+[[nodiscard]] FleetResult run_scenario(const Scenario& scenario, Hertz f,
+                                       const RunOptions& options = RunOptions{.threads = 1});
 
 /// Static exporter context (chip/core/tenant names) for writing a
 /// scenario's trace with obs::write_chrome_trace.
 [[nodiscard]] obs::TraceMeta trace_meta(const Scenario& scenario);
 
 /// Run many scenarios at one frequency, fanning them out over `threads`
-/// workers (threads <= 0 = NTSERV_THREADS). Each scenario is an
+/// workers (0 = NTSERV_THREADS). Each scenario is an
 /// independent seed-derived simulation, so results are bit-identical for
 /// any thread count.
 [[nodiscard]] std::vector<FleetResult> run_scenarios(const std::vector<Scenario>& scenarios,

@@ -38,6 +38,39 @@ void warn_truncated(const char* sweep_kind, const std::string& scenario,
                sweep_kind, scenario.c_str(), run.c_str());
 }
 
+/// The body both sweep_faults overloads share: task 0 is the healthy
+/// reference (faults stripped, first arm applied), tasks 1..N are the
+/// arms on the shared fault trace. `apply(s, arm)` edits one run's
+/// scenario for its arm; `kind` labels the truncation warnings.
+template <typename Arm, typename Apply>
+FaultSweep run_fault_arms(const dc::Scenario& scenario, const std::vector<Arm>& arms,
+                          Hertz f, int threads, const char* kind, Apply apply) {
+  NTSERV_EXPECTS(scenario.faults.any(),
+                 "fault sweep needs a scenario with a fault schedule");
+  FaultSweep sweep;
+  sweep.scenario = scenario.name;
+  sweep.workload = scenario.profile.name;
+  sweep.points.resize(arms.size());
+  sim::parallel_for_index(threads, arms.size() + 1, [&](std::size_t task) {
+    obs::PhaseTimers::Scope sweep_scope(g_phase_timers, "sweep-point");
+    dc::Scenario s = scenario;
+    if (task == 0) {
+      s.faults = fault::FaultConfig{};
+      apply(s, arms.front());
+      sweep.healthy = dc::run_scenario(s, f);
+    } else {
+      apply(s, arms[task - 1]);
+      sweep.points[task - 1].label = arms[task - 1].label;
+      sweep.points[task - 1].result = dc::run_scenario(s, f);
+    }
+  });
+  warn_truncated(kind, sweep.scenario, "healthy reference", sweep.healthy);
+  for (const auto& p : sweep.points) {
+    warn_truncated(kind, sweep.scenario, "arm '" + p.label + "'", p.result);
+  }
+  return sweep;
+}
+
 }  // namespace
 
 const char* to_string(Scope s) {
@@ -88,23 +121,12 @@ double SweepResult::baseline_uips() const {
 }
 
 SweepResult ExplorationDriver::sweep(const workload::WorkloadProfile& profile,
-                                     const std::vector<Hertz>& grid) const {
-  return sweep(profile, grid, sim::ThreadPool::default_threads());
-}
-
-SweepResult ExplorationDriver::sweep(const workload::WorkloadProfile& profile,
                                      const std::vector<Hertz>& grid, int threads) const {
   sim::ServerSimulator simulator{profile, platform_, config_};
   SweepResult r;
   r.workload = profile.name;
   r.points = simulator.sweep(grid, threads);
   return r;
-}
-
-std::vector<SweepResult> ExplorationDriver::sweep_all(
-    const std::vector<workload::WorkloadProfile>& profiles,
-    const std::vector<Hertz>& grid) const {
-  return sweep_all(profiles, grid, sim::ThreadPool::default_threads());
 }
 
 std::vector<SweepResult> ExplorationDriver::sweep_all(
@@ -136,12 +158,6 @@ Second MeasuredQosSweep::baseline_p99() const {
       points.begin(), points.end(),
       [](const auto& a, const auto& b) { return a.frequency < b.frequency; });
   return it->p99;
-}
-
-MeasuredQosSweep sweep_measured_qos(const dc::Scenario& scenario,
-                                    const qos::QosTarget& target,
-                                    const std::vector<Hertz>& grid) {
-  return sweep_measured_qos(scenario, target, grid, sim::ThreadPool::default_threads());
 }
 
 MeasuredQosSweep sweep_measured_qos(const dc::Scenario& scenario,
@@ -191,11 +207,6 @@ const GovernorPoint& GovernorSweep::at(ctrl::GovernorKind kind) const {
     if (p.governor == kind) return p;
   }
   throw ModelError(std::string("governor sweep has no point for ") + to_string(kind));
-}
-
-GovernorSweep sweep_governors(const dc::Scenario& scenario,
-                              const std::vector<ctrl::GovernorKind>& kinds, Hertz f) {
-  return sweep_governors(scenario, kinds, f, sim::ThreadPool::default_threads());
 }
 
 GovernorSweep sweep_governors(const dc::Scenario& scenario,
@@ -303,12 +314,6 @@ int ConsolidationSweep::min_dedicated_chips(std::size_t t) const {
 }
 
 ConsolidationSweep sweep_consolidation(const dc::Scenario& scenario,
-                                       const std::vector<int>& chip_counts, Hertz f) {
-  return sweep_consolidation(scenario, chip_counts, f,
-                             sim::ThreadPool::default_threads());
-}
-
-ConsolidationSweep sweep_consolidation(const dc::Scenario& scenario,
                                        const std::vector<int>& chip_counts, Hertz f,
                                        int threads) {
   NTSERV_EXPECTS(!chip_counts.empty(), "consolidation sweep needs chip counts");
@@ -384,14 +389,6 @@ const dc::FleetResult& ProvisioningSweep::at(int chips, std::size_t a) const {
 ProvisioningSweep sweep_provisioning(const dc::Scenario& scenario,
                                      const std::vector<int>& chip_counts,
                                      const std::vector<ProvisioningArm>& arms,
-                                     Second p99_bound, Hertz f) {
-  return sweep_provisioning(scenario, chip_counts, arms, p99_bound, f,
-                            sim::ThreadPool::default_threads());
-}
-
-ProvisioningSweep sweep_provisioning(const dc::Scenario& scenario,
-                                     const std::vector<int>& chip_counts,
-                                     const std::vector<ProvisioningArm>& arms,
                                      Second p99_bound, Hertz f, int threads) {
   NTSERV_EXPECTS(!chip_counts.empty(), "provisioning sweep needs chip counts");
   NTSERV_EXPECTS(!arms.empty(), "provisioning sweep needs at least one arm");
@@ -455,41 +452,12 @@ const FaultPoint& FaultSweep::at(const std::string& label) const {
 }
 
 FaultSweep sweep_faults(const dc::Scenario& scenario,
-                        const std::vector<ResilienceArm>& arms, Hertz f) {
-  return sweep_faults(scenario, arms, f, sim::ThreadPool::default_threads());
-}
-
-FaultSweep sweep_faults(const dc::Scenario& scenario,
-                        const std::vector<ResilienceArm>& arms, Hertz f,
-                        int threads) {
+                        const std::vector<ResilienceArm>& arms, Hertz f, int threads) {
   NTSERV_EXPECTS(!arms.empty(), "fault sweep needs at least one resilience arm");
-  NTSERV_EXPECTS(scenario.faults.any(),
-                 "fault sweep needs a scenario with a fault schedule");
-  FaultSweep sweep;
-  sweep.scenario = scenario.name;
-  sweep.workload = scenario.profile.name;
-  sweep.points.resize(arms.size());
-
-  // Task 0 is the healthy reference (faults stripped, first arm's
-  // resilience); tasks 1..N are the arms on the shared fault trace.
-  sim::parallel_for_index(threads, arms.size() + 1, [&](std::size_t task) {
-    obs::PhaseTimers::Scope sweep_scope(g_phase_timers, "sweep-point");
-    dc::Scenario s = scenario;
-    if (task == 0) {
-      s.faults = fault::FaultConfig{};
-      s.resilience = arms.front().resilience;
-      sweep.healthy = dc::run_scenario(s, f);
-    } else {
-      s.resilience = arms[task - 1].resilience;
-      sweep.points[task - 1].label = arms[task - 1].label;
-      sweep.points[task - 1].result = dc::run_scenario(s, f);
-    }
-  });
-  warn_truncated("fault", sweep.scenario, "healthy reference", sweep.healthy);
-  for (const auto& p : sweep.points) {
-    warn_truncated("fault", sweep.scenario, "arm '" + p.label + "'", p.result);
-  }
-  return sweep;
+  return run_fault_arms(scenario, arms, f, threads, "fault",
+                        [](dc::Scenario& s, const ResilienceArm& arm) {
+                          s.resilience = arm.resilience;
+                        });
 }
 
 std::vector<BrownoutArm> default_brownout_arms() {
@@ -509,48 +477,15 @@ std::vector<BrownoutArm> default_brownout_arms() {
 }
 
 FaultSweep sweep_faults(const dc::Scenario& scenario,
-                        const std::vector<BrownoutArm>& arms, Hertz f) {
-  return sweep_faults(scenario, arms, f, sim::ThreadPool::default_threads());
-}
-
-FaultSweep sweep_faults(const dc::Scenario& scenario,
-                        const std::vector<BrownoutArm>& arms, Hertz f,
-                        int threads) {
+                        const std::vector<BrownoutArm>& arms, Hertz f, int threads) {
   NTSERV_EXPECTS(!arms.empty(), "fault sweep needs at least one brownout arm");
-  NTSERV_EXPECTS(scenario.faults.any(),
-                 "fault sweep needs a scenario with a fault schedule");
-  FaultSweep sweep;
-  sweep.scenario = scenario.name;
-  sweep.workload = scenario.profile.name;
-  sweep.points.resize(arms.size());
-
-  const auto apply_arm = [](dc::Scenario& s, const BrownoutArm& arm) {
-    s.brownout.enabled = arm.brownout;
-    if (arm.brownout) s.brownout.max_stage = arm.max_stage;
-    s.breaker.enabled = arm.breaker;
-    s.orchestration.autoscaler.emergency_wake = arm.emergency_wake;
-  };
-
-  // Task 0 is the healthy reference (faults stripped, first arm's
-  // posture); tasks 1..N are the arms on the shared fault trace.
-  sim::parallel_for_index(threads, arms.size() + 1, [&](std::size_t task) {
-    obs::PhaseTimers::Scope sweep_scope(g_phase_timers, "sweep-point");
-    dc::Scenario s = scenario;
-    if (task == 0) {
-      s.faults = fault::FaultConfig{};
-      apply_arm(s, arms.front());
-      sweep.healthy = dc::run_scenario(s, f);
-    } else {
-      apply_arm(s, arms[task - 1]);
-      sweep.points[task - 1].label = arms[task - 1].label;
-      sweep.points[task - 1].result = dc::run_scenario(s, f);
-    }
-  });
-  warn_truncated("brownout", sweep.scenario, "healthy reference", sweep.healthy);
-  for (const auto& p : sweep.points) {
-    warn_truncated("brownout", sweep.scenario, "arm '" + p.label + "'", p.result);
-  }
-  return sweep;
+  return run_fault_arms(scenario, arms, f, threads, "brownout",
+                        [](dc::Scenario& s, const BrownoutArm& arm) {
+                          s.brownout.enabled = arm.brownout;
+                          if (arm.brownout) s.brownout.max_stage = arm.max_stage;
+                          s.breaker.enabled = arm.breaker;
+                          s.orchestration.autoscaler.emergency_wake = arm.emergency_wake;
+                        });
 }
 
 double consolidation_headroom(const SweepResult& sweep, const qos::QosTarget& target) {

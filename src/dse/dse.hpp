@@ -58,22 +58,17 @@ class ExplorationDriver {
       : platform_(std::move(platform)), config_(config) {}
 
   /// Sweep one workload, fanning the grid points out over `threads`
-  /// workers (default NTSERV_THREADS). Results are thread-count
-  /// invariant (see ServerSimulator::sweep).
+  /// workers (0 = NTSERV_THREADS). Results are thread-count invariant
+  /// (see ServerSimulator::sweep).
   [[nodiscard]] SweepResult sweep(const workload::WorkloadProfile& profile,
-                                  const std::vector<Hertz>& grid) const;
-  [[nodiscard]] SweepResult sweep(const workload::WorkloadProfile& profile,
-                                  const std::vector<Hertz>& grid, int threads) const;
+                                  const std::vector<Hertz>& grid, int threads = 0) const;
 
   /// Sweep many workloads over a shared grid, flattening every
   /// (workload, frequency) pair into one task pool so the figure drivers
   /// saturate the machine even with short grids.
   [[nodiscard]] std::vector<SweepResult> sweep_all(
       const std::vector<workload::WorkloadProfile>& profiles,
-      const std::vector<Hertz>& grid, int threads) const;
-  [[nodiscard]] std::vector<SweepResult> sweep_all(
-      const std::vector<workload::WorkloadProfile>& profiles,
-      const std::vector<Hertz>& grid) const;
+      const std::vector<Hertz>& grid, int threads = 0) const;
 
   [[nodiscard]] const power::ServerPowerModel& platform() const { return platform_; }
   [[nodiscard]] const sim::ServerSimConfig& config() const { return config_; }
@@ -130,16 +125,13 @@ struct MeasuredQosSweep {
 };
 
 /// Sweep a scenario over a frequency grid, fanning the points out over
-/// `threads` workers (default NTSERV_THREADS). Each point runs its fleet
+/// `threads` workers (0 = NTSERV_THREADS). Each point runs its fleet
 /// with the scenario's own seed, so results are bit-identical for any
 /// thread count.
 [[nodiscard]] MeasuredQosSweep sweep_measured_qos(const dc::Scenario& scenario,
                                                   const qos::QosTarget& target,
                                                   const std::vector<Hertz>& grid,
-                                                  int threads);
-[[nodiscard]] MeasuredQosSweep sweep_measured_qos(const dc::Scenario& scenario,
-                                                  const qos::QosTarget& target,
-                                                  const std::vector<Hertz>& grid);
+                                                  int threads = 0);
 
 // ---- Closed-loop governor sweeps (src/ctrl) ----
 
@@ -160,17 +152,14 @@ struct GovernorSweep {
 };
 
 /// Run one scenario under each governor kind, fanning the runs out over
-/// `threads` workers (default NTSERV_THREADS). Every point is an
+/// `threads` workers (0 = NTSERV_THREADS). Every point is an
 /// independent fleet simulation with the scenario's own seed — the
 /// arrival stream, budgets and epoch decisions are bit-identical for any
 /// thread count. The scenario's governor config (curve, QoS limit,
 /// epoch sizing) is kept; only the kind is overridden per point.
 [[nodiscard]] GovernorSweep sweep_governors(const dc::Scenario& scenario,
                                             const std::vector<ctrl::GovernorKind>& kinds,
-                                            Hertz f, int threads);
-[[nodiscard]] GovernorSweep sweep_governors(const dc::Scenario& scenario,
-                                            const std::vector<ctrl::GovernorKind>& kinds,
-                                            Hertz f);
+                                            Hertz f, int threads = 0);
 
 // ---- Fault-tolerance sweeps (src/fault + dc resilience) ----
 
@@ -216,17 +205,14 @@ struct FaultSweep {
 };
 
 /// Run one faulted scenario under each resilience arm (plus the healthy
-/// reference), fanning the runs out over `threads` workers (default
+/// reference), fanning the runs out over `threads` workers (0 =
 /// NTSERV_THREADS). Every run is an independent fleet simulation with the
 /// scenario's own seed — the arrival stream *and the fault schedule* are
 /// bit-identical across arms and for any thread count, so differences
 /// between arms are purely the resilience machinery.
 [[nodiscard]] FaultSweep sweep_faults(const dc::Scenario& scenario,
                                       const std::vector<ResilienceArm>& arms,
-                                      Hertz f, int threads);
-[[nodiscard]] FaultSweep sweep_faults(const dc::Scenario& scenario,
-                                      const std::vector<ResilienceArm>& arms,
-                                      Hertz f);
+                                      Hertz f, int threads = 0);
 
 /// One graceful-degradation posture to run a faulted scenario under. The
 /// scenario's fault schedule, traffic and resilience are kept; only the
@@ -254,10 +240,7 @@ struct BrownoutArm {
 /// shared across arms and bit-identical for any thread count.
 [[nodiscard]] FaultSweep sweep_faults(const dc::Scenario& scenario,
                                       const std::vector<BrownoutArm>& arms,
-                                      Hertz f, int threads);
-[[nodiscard]] FaultSweep sweep_faults(const dc::Scenario& scenario,
-                                      const std::vector<BrownoutArm>& arms,
-                                      Hertz f);
+                                      Hertz f, int threads = 0);
 
 /// Consolidation headroom (Sec. V-C): with QoS met at `qos_floor` but the
 /// efficiency optimum at `f_opt` > floor, the spare throughput factor
@@ -302,15 +285,12 @@ struct ConsolidationSweep {
 
 /// Sweep a consolidated scenario over fleet sizes, running the
 /// consolidated fleet and every dedicated split at each chip count and
-/// fanning all of the runs out over `threads` workers (default
+/// fanning all of the runs out over `threads` workers (0 =
 /// NTSERV_THREADS). Each run is an independent seed-derived simulation,
 /// so results are bit-identical for any thread count.
 [[nodiscard]] ConsolidationSweep sweep_consolidation(const dc::Scenario& scenario,
                                                      const std::vector<int>& chip_counts,
-                                                     Hertz f, int threads);
-[[nodiscard]] ConsolidationSweep sweep_consolidation(const dc::Scenario& scenario,
-                                                     const std::vector<int>& chip_counts,
-                                                     Hertz f);
+                                                     Hertz f, int threads = 0);
 
 // ---- Provisioning sweeps (src/orch fleet orchestration) ----
 
@@ -354,16 +334,13 @@ struct ProvisioningSweep {
 
 /// Sweep a scenario over fleet sizes under each orchestration arm,
 /// fanning every (chip count, arm) run out over `threads` workers
-/// (default NTSERV_THREADS). Each run is an independent seed-derived
-/// fleet, so results are bit-identical for any thread count. An
-/// autoscaler arm's min_active is clamped to the swept chip count.
+/// (0 = NTSERV_THREADS). Each run is an independent seed-derived fleet,
+/// so results are bit-identical for any thread count. An autoscaler
+/// arm's min_active is clamped to the swept chip count.
 [[nodiscard]] ProvisioningSweep sweep_provisioning(const dc::Scenario& scenario,
                                                    const std::vector<int>& chip_counts,
                                                    const std::vector<ProvisioningArm>& arms,
-                                                   Second p99_bound, Hertz f, int threads);
-[[nodiscard]] ProvisioningSweep sweep_provisioning(const dc::Scenario& scenario,
-                                                   const std::vector<int>& chip_counts,
-                                                   const std::vector<ProvisioningArm>& arms,
-                                                   Second p99_bound, Hertz f);
+                                                   Second p99_bound, Hertz f,
+                                                   int threads = 0);
 
 }  // namespace ntserv::dse

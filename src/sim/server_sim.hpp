@@ -56,13 +56,12 @@ class ServerSimulator {
   [[nodiscard]] OperatingPointResult evaluate(Hertz f) const;
 
   /// Simulate a frequency sweep, fanning the points out over `threads`
-  /// workers (default: NTSERV_THREADS / hardware concurrency). Every
-  /// point is an independent simulation with a seed derived purely from
-  /// (config seed, frequency), so results are bit-identical for any
-  /// thread count, including the serial path.
+  /// workers (0 = NTSERV_THREADS, see resolve_threads). Every point is an
+  /// independent simulation with a seed derived purely from (config seed,
+  /// frequency), so results are bit-identical for any thread count,
+  /// including the serial path.
   [[nodiscard]] std::vector<OperatingPointResult> sweep(const std::vector<Hertz>& points,
-                                                        int threads) const;
-  [[nodiscard]] std::vector<OperatingPointResult> sweep(const std::vector<Hertz>& points) const;
+                                                        int threads = 0) const;
 
   /// Convert a measured cluster window into the chip activity vector.
   [[nodiscard]] power::ActivityVector activity_from(const ClusterMetrics& m, Hertz f) const;

@@ -11,10 +11,13 @@
 // threads) — which is cheap next to a window's work but not next to a
 // single quantum's.
 //
-// The default worker count comes from the NTSERV_THREADS environment
-// variable, falling back to the hardware concurrency.
+// Every `threads` argument in the library means the same thing: a
+// positive value is the worker count, 0 is the default, which comes from
+// the NTSERV_THREADS environment variable, falling back to the hardware
+// concurrency (resolve_threads).
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdlib>
@@ -68,11 +71,10 @@ class ThreadPool {
   }
 
   /// Run body(i) for i in [0, n) on the pool and barrier: submit all,
-  /// wait_idle, rethrow the first captured exception. Unlike
-  /// parallel_for_index this reuses a live pool, so callers with a
-  /// per-step fan-out (a fleet run fans out every lookahead window) pay a
-  /// submit + barrier, not a pool construction. Each index must write
-  /// only its own state.
+  /// wait_idle, rethrow the first captured exception. A live pool is
+  /// reused, so callers with a per-step fan-out (a fleet run fans out
+  /// every lookahead window) pay a submit + barrier, not a pool
+  /// construction. Each index must write only its own state.
   template <typename Body>
   void run_indexed(std::size_t n, Body&& body) {
     std::mutex err_mu;
@@ -131,34 +133,28 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Run body(i) for i in [0, n): serially when one worker suffices,
-/// otherwise fanned out over a pool of min(threads, n) workers. The first
-/// exception any task throws is rethrown after the barrier. This is the
-/// shared-nothing fan-out every sweep driver uses — each index must write
-/// only its own result slot.
+/// The worker count a `threads` argument asks for: the value itself when
+/// positive, otherwise ThreadPool::default_threads() (NTSERV_THREADS).
+/// Every `threads` argument in the library resolves through here.
+[[nodiscard]] inline int resolve_threads(int threads) {
+  return threads > 0 ? threads : ThreadPool::default_threads();
+}
+
+/// Run body(i) for i in [0, n) on min(resolve_threads(threads), n)
+/// workers: inline when that is one, otherwise through run_indexed on a
+/// fresh pool (the first exception is rethrown after the barrier). This
+/// is the shared-nothing fan-out every sweep driver uses — each index
+/// must write only its own result slot.
 template <typename Body>
 void parallel_for_index(int threads, std::size_t n, Body&& body) {
-  if (n == 0) return;
-  if (threads > static_cast<int>(n)) threads = static_cast<int>(n);
-  if (threads <= 1) {
+  const std::size_t workers =
+      std::min(static_cast<std::size_t>(resolve_threads(threads)), n);
+  if (workers <= 1) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  ThreadPool pool{threads};
-  std::mutex err_mu;
-  std::exception_ptr err;
-  for (std::size_t i = 0; i < n; ++i) {
-    pool.submit([&body, &err_mu, &err, i] {
-      try {
-        body(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (!err) err = std::current_exception();
-      }
-    });
-  }
-  pool.wait_idle();
-  if (err) std::rethrow_exception(err);
+  ThreadPool pool{static_cast<int>(workers)};
+  pool.run_indexed(n, body);
 }
 
 }  // namespace ntserv::sim

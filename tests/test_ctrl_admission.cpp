@@ -85,7 +85,7 @@ TEST(Admission, WithoutAdmissionTheSameOverloadTruncates) {
   s.admission.enabled = false;
   auto cfg = s.fleet_config(ghz(2.0));
   cfg.max_cycles = 300'000;  // tight cap: the unbounded queue hits it
-  const auto r = dc::FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const auto r = dc::FleetRunner{cfg}.run({.threads = 1});
   EXPECT_TRUE(r.truncated);
   EXPECT_EQ(r.shed, 0u);
 }

@@ -74,7 +74,7 @@ TEST(Chip, MultiClusterChipUsesAllItsClusters) {
   // load both clusters serve, and the fleet completes every request.
   const auto cfg = chip_config(1, 2, 400'000.0);
   EXPECT_EQ(ClusterFleet{cfg}.cores_per_server(), 2 * cfg.cluster.hierarchy.cores);
-  const FleetResult r = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult r = FleetRunner{cfg}.run({.threads = 1});
   EXPECT_EQ(r.completed, cfg.tenants[0].requests);
   EXPECT_FALSE(r.truncated);
   ASSERT_EQ(r.server_active_fraction.size(), 1u);
@@ -91,8 +91,8 @@ TEST(Chip, FlatAndChipGroupingsExposeTheSameCapacity) {
   // both shapes must complete the same offered load untruncated (the
   // dispatch granularity differs — chips share one queue — so tails are
   // close but not identical).
-  const FleetResult rf = FleetRunner{chip_config(2, 1)}.run({.shards = 1, .threads = 1});
-  const FleetResult rc = FleetRunner{chip_config(1, 2)}.run({.shards = 1, .threads = 1});
+  const FleetResult rf = FleetRunner{chip_config(2, 1)}.run({.threads = 1});
+  const FleetResult rc = FleetRunner{chip_config(1, 2)}.run({.threads = 1});
   EXPECT_EQ(rf.completed, rc.completed);
   EXPECT_FALSE(rf.truncated);
   EXPECT_FALSE(rc.truncated);

@@ -60,16 +60,16 @@ TEST(Fleet, DefaultConfigRunsOneDefaultTenant) {
 }
 
 TEST(Fleet, RunsAreDeterministic) {
-  const FleetResult a = FleetRunner{small_config()}.run({.shards = 1, .threads = 1});
-  const FleetResult b = FleetRunner{small_config()}.run({.shards = 1, .threads = 1});
+  const FleetResult a = FleetRunner{small_config()}.run({.threads = 1});
+  const FleetResult b = FleetRunner{small_config()}.run({.threads = 1});
   EXPECT_TRUE(a == b);
 }
 
 TEST(Fleet, SeedChangesTheMeasurement) {
   auto reseeded = small_config();
   reseeded.seed = 4;
-  EXPECT_NE(FleetRunner{small_config()}.run({.shards = 1, .threads = 1}).p99.value(),
-            FleetRunner{reseeded}.run({.shards = 1, .threads = 1}).p99.value());
+  EXPECT_NE(FleetRunner{small_config()}.run({.threads = 1}).p99.value(),
+            FleetRunner{reseeded}.run({.threads = 1}).p99.value());
 }
 
 TEST(Fleet, PowerAwarePacksAndRoundRobinSpreads) {
@@ -78,13 +78,13 @@ TEST(Fleet, PowerAwarePacksAndRoundRobinSpreads) {
   cfg.tenants[0].arrival = poisson(8'000.0);  // light: one server can absorb it
 
   cfg.policy = BalancePolicy::kPowerAware;
-  const FleetResult packed = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult packed = FleetRunner{cfg}.run({.threads = 1});
   // Packing leaves the last server cold so it could sleep.
   EXPECT_GT(packed.server_active_fraction[0], 0.0);
   EXPECT_EQ(packed.server_active_fraction[2], 0.0);
 
   cfg.policy = BalancePolicy::kRoundRobin;
-  const FleetResult spread = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult spread = FleetRunner{cfg}.run({.threads = 1});
   for (double a : spread.server_active_fraction) EXPECT_GT(a, 0.0);
 }
 
@@ -93,7 +93,7 @@ TEST(Fleet, SaturatedFleetTruncatesAtTheCycleCap) {
   cfg.tenants[0].arrival = poisson(5e6);  // far beyond service capacity
   cfg.tenants[0].requests = 4'000;
   cfg.max_cycles = 200'000;
-  const FleetResult r = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult r = FleetRunner{cfg}.run({.threads = 1});
   EXPECT_TRUE(r.truncated);
   EXPECT_LT(r.completed, 4'000u);
   EXPECT_LE(r.span_cycles, 200'000u + cfg.quantum);
@@ -103,9 +103,9 @@ TEST(Fleet, QueueingInflatesTheTail) {
   auto cfg = small_config();
   cfg.tenants[0].requests = 120;
   cfg.tenants[0].arrival = poisson(5'000.0);
-  const FleetResult light = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult light = FleetRunner{cfg}.run({.threads = 1});
   cfg.tenants[0].arrival = poisson(2'000'000.0);  // ~70% of the fleet's service capacity
-  const FleetResult heavy = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult heavy = FleetRunner{cfg}.run({.threads = 1});
   EXPECT_GT(heavy.mean_wait.value(), light.mean_wait.value());
   EXPECT_GT(heavy.p99.value(), light.p99.value());
 }
@@ -115,7 +115,7 @@ TEST(Fleet, EnergyAccountsIdleServersAtSleepPower) {
   cfg.servers = 3;
   cfg.tenants[0].arrival = poisson(8'000.0);
   cfg.policy = BalancePolicy::kPowerAware;
-  const FleetResult r = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult r = FleetRunner{cfg}.run({.threads = 1});
 
   const power::ServerPowerModel platform{
       tech::TechnologyModel{tech::TechnologyParams::fdsoi28()}, power::ChipConfig{}};

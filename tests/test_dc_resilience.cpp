@@ -62,10 +62,10 @@ TEST(Resilience, HealthyFleetIsBitIdenticalWithResilienceArmed) {
   // Failover/timeout/hedging must be pure overhead-free bookkeeping while
   // nothing fails: same completions, same tail, same span.
   auto cfg = small_config();
-  const FleetResult plain = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult plain = FleetRunner{cfg}.run({.threads = 1});
   cfg.resilience.failover = true;
   cfg.resilience.timeout = Second{5e-3};  // far above any healthy latency
-  const FleetResult armed = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult armed = FleetRunner{cfg}.run({.threads = 1});
   EXPECT_EQ(plain.completed, armed.completed);
   EXPECT_DOUBLE_EQ(plain.p99.value(), armed.p99.value());
   EXPECT_EQ(plain.span_cycles, armed.span_cycles);
@@ -75,10 +75,10 @@ TEST(Resilience, HealthyFleetIsBitIdenticalWithResilienceArmed) {
 
 TEST(Resilience, CrashWithoutFailoverPaysTheOutageInLatency) {
   auto cfg = small_config();
-  const FleetResult healthy = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult healthy = FleetRunner{cfg}.run({.threads = 1});
   cfg.faults.events = {{1.0e-3, 0, fault::FaultKind::kCrash},
                        {2.0e-3, 0, fault::FaultKind::kRecover}};
-  const FleetResult r = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult r = FleetRunner{cfg}.run({.threads = 1});
   EXPECT_FALSE(r.truncated);
   EXPECT_EQ(r.faults_injected, 2u);
   // Nothing is lost: in-flight work restarts locally at recovery and the
@@ -96,12 +96,12 @@ TEST(Resilience, CrashWithoutFailoverPaysTheOutageInLatency) {
 
 TEST(Resilience, FailoverKeepsTheTailNearHealthy) {
   auto cfg = small_config();
-  const FleetResult healthy = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult healthy = FleetRunner{cfg}.run({.threads = 1});
   cfg.faults.events = {{1.0e-3, 0, fault::FaultKind::kCrash},
                        {2.0e-3, 0, fault::FaultKind::kRecover}};
-  const FleetResult blind = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult blind = FleetRunner{cfg}.run({.threads = 1});
   cfg.resilience.failover = true;
-  const FleetResult failover = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult failover = FleetRunner{cfg}.run({.threads = 1});
   EXPECT_FALSE(failover.truncated);
   EXPECT_EQ(failover.offered, failover.completed_all);
   EXPECT_EQ(failover.timed_out, 0u);
@@ -116,7 +116,7 @@ TEST(Resilience, UnrecoveredCrashStrandsInFlightWorkWithoutFailover) {
   auto cfg = small_config();
   cfg.faults.events = {{1.0e-3, 0, fault::FaultKind::kCrash}};  // never recovers
   cfg.max_cycles = 40'000'000;  // bound the wait for work that cannot finish
-  const FleetResult r = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult r = FleetRunner{cfg}.run({.threads = 1});
   EXPECT_TRUE(r.truncated);
   EXPECT_GT(r.in_flight, 0u);
   EXPECT_FALSE(r.recovered);
@@ -127,7 +127,7 @@ TEST(Resilience, FailoverSurvivesAnUnrecoveredCrash) {
   auto cfg = small_config();
   cfg.faults.events = {{1.0e-3, 0, fault::FaultKind::kCrash}};
   cfg.resilience.failover = true;
-  const FleetResult r = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult r = FleetRunner{cfg}.run({.threads = 1});
   EXPECT_FALSE(r.truncated);
   EXPECT_EQ(r.offered, r.completed_all);
   EXPECT_EQ(r.in_flight, 0u);
@@ -140,7 +140,7 @@ TEST(Resilience, TimeoutsExhaustTheRetryBudgetOnADarkFleet) {
   cfg.tenants[0].warmup_requests = 5;
   cfg.faults.events = {{0.5e-3, 0, fault::FaultKind::kCrash}};  // forever
   cfg.resilience.timeout = Second{50e-6};
-  const FleetResult r = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult r = FleetRunner{cfg}.run({.threads = 1});
   EXPECT_FALSE(r.truncated);
   // Every request that had not finished by the crash times out, retries
   // through the back-off budget onto the same dead chip, and gives up.
@@ -157,7 +157,7 @@ TEST(Resilience, HedgingDuplicatesSlowRequestsAndFirstCompletionWins) {
   cfg.resilience.hedging = true;
   cfg.resilience.hedge_min_delay = Second{5e-6};
   cfg.resilience.hedge_warmup = 1'000'000;  // pin the delay at hedge_min_delay
-  const FleetResult r = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult r = FleetRunner{cfg}.run({.threads = 1});
   EXPECT_FALSE(r.truncated);
   EXPECT_GT(r.hedged, 0u);
   EXPECT_LE(r.hedged, r.offered);  // at most one hedge per request
@@ -169,14 +169,100 @@ TEST(Resilience, HedgingDuplicatesSlowRequestsAndFirstCompletionWins) {
   expect_tiling(r);
 }
 
+// ---- Crash victims that are cancelled (dead) copies ----
+//
+// A copy cancelled while in service (a hedge loser, or an attempt
+// abandoned by its timeout) keeps running until its completion is
+// discarded. A crash must discard it then and there, as wasted work:
+// never re-place it under failover (its request may already be disposed,
+// or still pending with no live copy), never re-run it at recovery.
+
+/// Data Serving at twice its registry load with a short warm, failover
+/// on, and chip 1 crashed for 100 us from `crash_s`.
+FleetConfig crash_probe(double crash_s) {
+  FleetConfig c = Scenario::by_name("dataserving-lognormal-budget").fleet_config(ghz(2.0));
+  c.warm_instructions = 100'000;
+  c.tenants[0].requests = 150;
+  c.tenants[0].arrival.rate *= 2.0;
+  c.resilience.failover = true;
+  c.faults.events = {{crash_s, 1, fault::FaultKind::kCrash},
+                     {crash_s + 100e-6, 1, fault::FaultKind::kRecover}};
+  return c;
+}
+
+TEST(Resilience, FailoverCrashDiscardsDeadHedgeLosers) {
+  // Nearly every request hedges after 5 us; at 210 us chip 1 serves a
+  // hedge loser whose request another chip already completed.
+  FleetConfig c = crash_probe(210e-6);
+  c.resilience.hedging = true;
+  c.resilience.hedge_multiplier = 1.0;
+  c.resilience.hedge_min_delay = microseconds(5.0);
+  c.resilience.hedge_warmup = 1'000'000;
+  const FleetResult r = FleetRunner{c}.run({.threads = 1});
+  EXPECT_FALSE(r.truncated);
+  EXPECT_EQ(r.offered, r.completed_all);
+  EXPECT_GT(r.redispatched, 0u);
+  EXPECT_LE(r.wasted_completions, r.hedged);  // one loser per hedged request
+  expect_tiling(r);
+}
+
+TEST(Resilience, FailoverCrashDiscardsDeadCopiesOfPendingRequests) {
+  // A 20 us timeout abandons copies in service while their requests wait
+  // out a back-off; at 190 us chip 1 serves such a copy.
+  FleetConfig c = crash_probe(190e-6);
+  c.resilience.timeout = microseconds(20.0);
+  c.admission.enabled = true;
+  c.admission.max_outstanding_per_core = 1e9;
+  const FleetResult r = FleetRunner{c}.run({.threads = 1});
+  EXPECT_FALSE(r.truncated);
+  EXPECT_EQ(r.in_flight, 0u);
+  EXPECT_GT(r.timed_out, 0u);
+  expect_tiling(r);
+}
+
+TEST(Resilience, HealthBlindCrashDoesNotRerunDeadCopies) {
+  // Two one-core chips, round-robin, two requests 50 us apart. Request 0
+  // runs on chip 0 and hedges onto chip 1 at 90 us; its primary wins at
+  // ~103 us, leaving the hedge dead in service on chip 1 with request 1
+  // queued behind it. Chip 1 crashes at 110 us and recovers at 115 us.
+  // Request 1 then starts at once on chip 1 and beats its own hedge
+  // (dispatched to chip 0 at 140 us). Re-running the dead hedge first
+  // would delay it past that hedge.
+  FleetConfig c;
+  c.profile = workload::WorkloadProfile::web_search();
+  c.servers = 2;
+  c.cluster.hierarchy.cores = 1;
+  c.warm_instructions = 20'000;
+  c.policy = BalancePolicy::kRoundRobin;
+  c.seed = 5;
+  TenantSpec& t = c.tenants[0];
+  t.user_instructions_per_request = 40'000;
+  t.arrival.kind = ArrivalKind::kDeterministic;
+  t.arrival.rate = 20'000.0;
+  t.requests = 2;
+  t.warmup_requests = 0;
+  c.resilience.hedging = true;
+  c.resilience.hedge_multiplier = 1.0;
+  c.resilience.hedge_min_delay = microseconds(40.0);
+  c.resilience.hedge_warmup = 1'000'000;
+  c.faults.events = {{110e-6, 1, fault::FaultKind::kCrash},
+                     {115e-6, 1, fault::FaultKind::kRecover}};
+  const FleetResult r = FleetRunner{c}.run({.threads = 1});
+  EXPECT_EQ(r.completed_all, 2u);
+  EXPECT_EQ(r.hedged, 2u);
+  EXPECT_EQ(r.hedge_wins, 0u);
+  EXPECT_EQ(r.wasted_completions, 1u);  // the crashed hedge loser
+  expect_tiling(r);
+}
+
 TEST(Resilience, DegradationFrequencyCapSlowsTheFleet) {
   auto cfg = one_chip(10'000.0);
-  const FleetResult healthy = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult healthy = FleetRunner{cfg}.run({.threads = 1});
   // Deep whole-run cap (0.15 of nominal -> 0.3 GHz). The slowdown is
   // sub-linear in frequency — web search is memory-bound, which is the
   // paper's NTC argument — so the latency ratio is well under 1/0.15.
   cfg.faults.events = {{1e-6, 0, fault::FaultKind::kDegrade, 0.15, 0}};
-  const FleetResult degraded = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+  const FleetResult degraded = FleetRunner{cfg}.run({.threads = 1});
   EXPECT_FALSE(degraded.truncated);
   EXPECT_EQ(degraded.offered, degraded.completed_all);
   EXPECT_GT(degraded.mean_latency.value(), healthy.mean_latency.value() * 1.5);
@@ -334,7 +420,7 @@ TEST(ResilienceProperty, AccountingTilesAcrossRandomizedScenarios) {
     }
     cfg.max_cycles = 80'000'000;  // unrecovered crashes truncate quickly
 
-    const FleetResult r = FleetRunner{cfg}.run({.shards = 1, .threads = 1});
+    const FleetResult r = FleetRunner{cfg}.run({.threads = 1});
     SCOPED_TRACE("trial " + std::to_string(trial) + " servers " +
                  std::to_string(cfg.servers) + " seed " + std::to_string(cfg.seed));
     expect_tiling(r);

@@ -174,11 +174,11 @@ Serialized run_with_telemetry(const dc::Scenario& s) {
   t.trace.enable();
   t.metrics.enable();
   Serialized out;
-  // Telemetry rides on RunOptions (no set_telemetry side channel); the
-  // serial single-shard plan keeps this the reference stream the
-  // thread-count sweep below compares against.
+  // Telemetry rides on RunOptions (no set_telemetry side channel); one
+  // worker keeps this the reference stream the thread-count sweep below
+  // compares against.
   out.result = dc::run_scenario(
-      s, ghz(2.0), dc::RunOptions{.telemetry = &t, .shards = 1, .threads = 1});
+      s, ghz(2.0), dc::RunOptions{.telemetry = &t, .threads = 1});
   std::ostringstream a, b, c, d;
   t.trace.write_jsonl(a);
   write_chrome_trace(b, t.trace, dc::trace_meta(s), &t.metrics);
@@ -227,7 +227,7 @@ TEST(ObsConservation, EveryAdmitIsDisposedExactlyOnce) {
   t.trace.enable();
   const dc::Scenario s = dc::Scenario::by_name("rack-loss-web");
   const auto result =
-      dc::run_scenario(s, ghz(2.0), dc::RunOptions{.telemetry = &t, .shards = 1, .threads = 1});
+      dc::run_scenario(s, ghz(2.0), dc::RunOptions{.telemetry = &t, .threads = 1});
   std::uint64_t admits = 0, completes = 0, sheds = 0, brownout_sheds = 0, timeouts = 0;
   for (const auto& e : t.trace.events()) {
     switch (e.kind) {
@@ -269,7 +269,7 @@ TEST(ObsConservation, EveryRetryIsTraced) {
   cfg.resilience.timeout = Second{50e-6};
   Telemetry t;
   t.trace.enable();
-  const auto r = dc::FleetRunner{cfg}.run({.telemetry = &t, .shards = 1, .threads = 1});
+  const auto r = dc::FleetRunner{cfg}.run({.telemetry = &t, .threads = 1});
   ASSERT_GT(r.timed_out, 0u);
   ASSERT_GT(r.retries, 0u);
   std::uint64_t retries = 0;
