@@ -1,7 +1,7 @@
 // A5 — design-choice ablation: the next-line prefetcher.
 //
-// DESIGN.md calls out the sequential next-line prefetcher (I-side always-on,
-// D-side stream-gated) as a modeling decision: media streaming's bandwidth
+// The sequential next-line prefetcher (I-side always-on, D-side
+// stream-gated) is a modeling decision: media streaming's bandwidth
 // behaviour depends on it, while random-access workloads must not be hurt by
 // useless prefetch traffic. This bench quantifies both.
 #include "bench_common.hpp"
@@ -10,7 +10,7 @@ using namespace ntserv;
 
 int main() {
   bench::print_header("Ablation — next-line prefetcher on/off",
-                      "ntserv design choice (DESIGN.md Sec. 5; supports Fig. 3 shapes)");
+                      "ntserv design choice (supports Fig. 3 shapes)");
 
   const auto platform = bench::default_platform();
   const auto grid = std::vector<Hertz>{mhz(500), ghz(1.0), ghz(2.0)};

@@ -1,8 +1,8 @@
 // Shared configuration for the figure/table regeneration benches.
 //
 // Every bench binary reproduces one artifact of the paper's evaluation
-// (see DESIGN.md experiment index) and prints the same series the paper
-// plots, as an ASCII table plus a CSV block for replotting.
+// (named by its file: fig*, table*, ablation_*) and prints the same series
+// the paper plots, as an ASCII table plus a CSV block for replotting.
 #pragma once
 
 #include <cstring>
@@ -92,10 +92,11 @@ inline TelemetryOptions parse_telemetry(int argc, char** argv,
   return opts;
 }
 
-/// Run one registry scenario with full telemetry and write the requested
-/// outputs. Deterministic: the trace JSON and metrics CSV are
-/// byte-identical for any NTSERV_THREADS. Returns a process exit code.
-inline int run_telemetry(const TelemetryOptions& opts, Hertz f = ghz(2.0)) {
+/// Run one registry scenario, at its own frequency, with full telemetry
+/// and write the requested outputs. Deterministic: the trace JSON and
+/// metrics CSV are byte-identical for any NTSERV_THREADS. Returns a
+/// process exit code.
+inline int run_telemetry(const TelemetryOptions& opts) {
   const dc::Scenario scenario = dc::Scenario::by_name(opts.scenario);
   obs::Telemetry telemetry;
   telemetry.trace.enable();
@@ -103,10 +104,10 @@ inline int run_telemetry(const TelemetryOptions& opts, Hertz f = ghz(2.0)) {
   telemetry.timers.enable();
   // Telemetry attaches through RunOptions; the one-worker run is the
   // canonical stream any parallel run must reproduce byte-for-byte.
-  const dc::FleetResult result = dc::run_scenario(
-      scenario, f, dc::RunOptions{.telemetry = &telemetry, .threads = 1});
-  std::cout << "telemetry run: " << scenario.name << " @ " << f.value() / 1e9
-            << " GHz\n"
+  const dc::FleetResult result =
+      dc::run_scenario(scenario, dc::RunOptions{.telemetry = &telemetry, .threads = 1});
+  std::cout << "telemetry run: " << scenario.name << " @ "
+            << scenario.frequency.value() / 1e9 << " GHz\n"
             << "  offered " << result.offered << ", completed(all) "
             << result.completed_all << ", shed " << result.shed << ", timed out "
             << result.timed_out << ", p99 " << result.p99.value() * 1e6 << " us"

@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
   // from one that truncates with an unbounded queue.
   std::cout << "Scenario catalog at 2 GHz (policy / arrival / control coverage):\n";
   const auto catalog = dc::Scenario::registry();
-  const auto results = dc::run_scenarios(catalog, ghz(2.0));
+  const auto results = dc::run_scenarios(catalog);
   TextTable c({"scenario", "policy", "arrivals", "p99 (us)", "mean (us)", "util",
                "offered", "shed %", "retries", "governor", "active frac"});
   for (std::size_t i = 0; i < catalog.size(); ++i) {

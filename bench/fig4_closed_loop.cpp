@@ -121,7 +121,7 @@ int run_smoke() {
     s.governor.curve.push_back({Hertz{f}, 2.52e10 * std::pow(f / 2e9, 0.423)});
   }
   const auto sweep = dse::sweep_governors(
-      s, {ctrl::GovernorKind::kFixedMax, ctrl::GovernorKind::kNtcBoost}, ghz(2.0));
+      s, {ctrl::GovernorKind::kFixedMax, ctrl::GovernorKind::kNtcBoost});
   const auto& fixed = sweep.at(ctrl::GovernorKind::kFixedMax).result;
   const auto& ntc = sweep.at(ctrl::GovernorKind::kNtcBoost).result;
   bool ok = true;
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
   {
     dc::Scenario s = dc::Scenario::by_name("webserving-diurnal-ntcboost");
     s.governor.curve = webserving_curve;
-    const auto sweep = dse::sweep_governors(s, kinds, ghz(2.0));
+    const auto sweep = dse::sweep_governors(s, kinds);
     print_sweep(sweep, s);
     accepted = check_acceptance(sweep) && accepted;
   }
@@ -195,9 +195,9 @@ int main(int argc, char** argv) {
     s.governor.curve = dataserving_curve;
     dc::Scenario probe = s;
     probe.governor.kind = ctrl::GovernorKind::kFixedMax;
-    const auto fixed = dc::run_scenario(probe, ghz(2.0));
+    const auto fixed = dc::run_scenario(probe);
     s.governor.qos_p99_limit = fixed.p99 * 3.0;
-    const auto sweep = dse::sweep_governors(s, kinds, ghz(2.0));
+    const auto sweep = dse::sweep_governors(s, kinds);
     print_sweep(sweep, s);
   }
 
@@ -208,9 +208,9 @@ int main(int argc, char** argv) {
     s.governor.curve = websearch_curve;
     dc::Scenario probe = s;
     probe.governor.kind = ctrl::GovernorKind::kFixedMax;
-    const auto fixed = dc::run_scenario(probe, ghz(2.0));
+    const auto fixed = dc::run_scenario(probe);
     s.governor.qos_p99_limit = fixed.p99 * 3.0;
-    const auto sweep = dse::sweep_governors(s, kinds, ghz(2.0));
+    const auto sweep = dse::sweep_governors(s, kinds);
     print_sweep(sweep, s);
   }
 

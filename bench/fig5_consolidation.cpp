@@ -33,16 +33,10 @@ namespace {
 
 /// Run one scenario per balance policy in parallel (NTSERV_THREADS).
 std::vector<dc::FleetResult> run_policies(const dc::Scenario& scenario,
-                                          const std::vector<dc::BalancePolicy>& policies,
-                                          Hertz f) {
-  std::vector<dc::FleetResult> results(policies.size());
-  sim::parallel_for_index(sim::ThreadPool::default_threads(), policies.size(),
-                          [&](std::size_t i) {
-                            dc::Scenario s = scenario;
-                            s.policy = policies[i];
-                            results[i] = dc::run_scenario(s, f);
-                          });
-  return results;
+                                          const std::vector<dc::BalancePolicy>& policies) {
+  std::vector<dc::Scenario> runs(policies.size(), scenario);
+  for (std::size_t i = 0; i < policies.size(); ++i) runs[i].policy = policies[i];
+  return dc::run_scenarios(runs);
 }
 
 void print_consolidation(const dse::ConsolidationSweep& sweep,
@@ -107,7 +101,7 @@ int run_smoke() {
   {
     dc::Scenario s = dc::Scenario::by_name("consolidated-antiphase-search");
     for (auto& tenant : s.tenants) tenant.requests = 300;
-    const auto sweep = dse::sweep_consolidation(s, {1}, ghz(2.0));
+    const auto sweep = dse::sweep_consolidation(s, {1});
     const auto& point = sweep.points.front();
     ok &= check(sweep.meets(point.consolidated, 0) && sweep.meets(point.consolidated, 1),
                 "one shared chip serves both antiphase tenants within their p99 bounds");
@@ -130,7 +124,7 @@ int run_smoke() {
     s.tenants[0].warmup_requests = 30;
     const std::vector<dc::BalancePolicy> policies{dc::BalancePolicy::kLeastLoaded,
                                                   dc::BalancePolicy::kGovernorAware};
-    const auto results = run_policies(s, policies, ghz(2.0));
+    const auto results = run_policies(s, policies);
     const auto& ll = results[0];
     const auto& ga = results[1];
     ok &= check(!ll.truncated && !ga.truncated, "diurnal policy face-off completes");
@@ -144,7 +138,7 @@ int run_smoke() {
     dc::Scenario s = dc::Scenario::by_name("consolidated-web-batch");
     s.tenants[0].requests = 250;
     s.tenants[1].requests = 150;
-    const auto r = dc::run_scenario(s, ghz(2.0));
+    const auto r = dc::run_scenario(s);
     ok &= check(!r.truncated && r.steered > 0,
                 "governor-aware balancer steers around pending descents");
   }
@@ -172,7 +166,7 @@ int main(int argc, char** argv) {
   //    dedicated chips at equal per-tenant p99 bounds.
   {
     const dc::Scenario s = dc::Scenario::by_name("consolidated-antiphase-search");
-    const auto sweep = dse::sweep_consolidation(s, {1, 2}, ghz(2.0));
+    const auto sweep = dse::sweep_consolidation(s, {1, 2});
     print_consolidation(sweep, s);
 
     const int consolidated = sweep.min_consolidated_chips();
@@ -201,7 +195,7 @@ int main(int argc, char** argv) {
     const std::vector<dc::BalancePolicy> policies{dc::BalancePolicy::kRoundRobin,
                                                   dc::BalancePolicy::kLeastLoaded,
                                                   dc::BalancePolicy::kGovernorAware};
-    const auto results = run_policies(s, policies, ghz(2.0));
+    const auto results = run_policies(s, policies);
     std::cout << "Scenario " << s.name << " (" << s.description << "), policy face-off:\n";
     print_policies("fig5_policies_" + s.name, policies, results);
     const auto& ll = results[1];
@@ -220,7 +214,7 @@ int main(int argc, char** argv) {
     dc::Scenario s = dc::Scenario::by_name("consolidated-web-batch");
     const std::vector<dc::BalancePolicy> policies{dc::BalancePolicy::kLeastLoaded,
                                                   dc::BalancePolicy::kGovernorAware};
-    const auto results = run_policies(s, policies, ghz(2.0));
+    const auto results = run_policies(s, policies);
     std::cout << "Scenario " << s.name << " (" << s.description << "):\n";
     print_policies("fig5_policies_" + s.name, policies, results);
     TextTable t({"policy", "tenant", "p99 (us)", "mean (us)", "sla viol", "share",

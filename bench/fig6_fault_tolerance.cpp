@@ -170,15 +170,15 @@ int run_smoke() {
   {
     dc::Scenario s = dc::Scenario::by_name("diurnal-chipfail");
     const auto sweep =
-        dse::sweep_faults(s, dse::default_resilience_arms(s), ghz(2.0));
+        dse::sweep_faults(s, dse::default_resilience_arms(s));
     ok = chipfail_acceptance(sweep) && ok;
   }
   {
     dc::Scenario s = dc::Scenario::by_name("ntc-guardband-web");
     dc::Scenario healthy = s;
     healthy.faults = fault::FaultConfig{};
-    const auto faulted_r = dc::run_scenario(s, ghz(2.0));
-    const auto healthy_r = dc::run_scenario(healthy, ghz(2.0));
+    const auto faulted_r = dc::run_scenario(s);
+    const auto healthy_r = dc::run_scenario(healthy);
     ok = guardband_acceptance(faulted_r, healthy_r, s) && ok;
     if (ok) {
       const double overhead = faulted_r.energy.value() - healthy_r.energy.value();
@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
   {
     dc::Scenario s = dc::Scenario::by_name("diurnal-chipfail");
     const auto sweep =
-        dse::sweep_faults(s, dse::default_resilience_arms(s), ghz(2.0));
+        dse::sweep_faults(s, dse::default_resilience_arms(s));
     print_fault_sweep(sweep, s);
     accepted = chipfail_acceptance(sweep) && accepted;
     std::cout << "\n";
@@ -223,8 +223,8 @@ int main(int argc, char** argv) {
     dc::Scenario s = dc::Scenario::by_name("ntc-guardband-web");
     dc::Scenario healthy = s;
     healthy.faults = fault::FaultConfig{};
-    const auto faulted_r = dc::run_scenario(s, ghz(2.0));
-    const auto healthy_r = dc::run_scenario(healthy, ghz(2.0));
+    const auto faulted_r = dc::run_scenario(s);
+    const auto healthy_r = dc::run_scenario(healthy);
     print_guardband(faulted_r, healthy_r, s);
     accepted = guardband_acceptance(faulted_r, healthy_r, s) && accepted;
     std::cout << "\n";
@@ -246,7 +246,7 @@ int main(int argc, char** argv) {
     for (std::uint64_t seed : {27ULL, 99ULL, 1234ULL}) {
       dc::Scenario arm = s;
       arm.seed = seed;
-      const auto r = dc::run_scenario(arm, ghz(2.0));
+      const auto r = dc::run_scenario(arm);
       t.add_row({std::to_string(seed) + bench::truncated_mark(r),
                  std::to_string(r.faults_injected), TextTable::num(in_us(r.p99), 1),
                  std::to_string(r.sla_violations),

@@ -53,7 +53,7 @@ AutoscalePair run_autoscale() {
   dc::Scenario fixed = s;
   fixed.orchestration.autoscaler.enabled = false;
   // Same seed, same arrivals: the only difference is the autoscaler.
-  return {dc::run_scenario(s, ghz(2.0)), dc::run_scenario(fixed, ghz(2.0))};
+  return {dc::run_scenario(s), dc::run_scenario(fixed)};
 }
 
 /// Acceptance (a): autoscaling the diurnal scenario saves >= 15% energy
@@ -82,7 +82,7 @@ CapPair run_cap() {
   const dc::Scenario s = dc::Scenario::by_name("powercap-web");
   dc::Scenario uncapped = s;
   uncapped.orchestration.cap.enabled = false;
-  return {dc::run_scenario(s, ghz(2.0)), dc::run_scenario(uncapped, ghz(2.0))};
+  return {dc::run_scenario(s), dc::run_scenario(uncapped)};
 }
 
 /// Acceptance (b): the cap binds (it clamps governors, and the uncapped
@@ -151,7 +151,7 @@ int run_smoke() {
   const CapPair cap = run_cap();
   ok = cap_acceptance(cap) && ok;
   std::cout << "[multi-fleet routing]\n";
-  const auto routed = dc::run_scenario(dc::Scenario::by_name("multifleet-ntc-conv"), ghz(2.0));
+  const auto routed = dc::run_scenario(dc::Scenario::by_name("multifleet-ntc-conv"));
   ok = router_acceptance(routed) && ok;
   if (ok) {
     const double saving = 1.0 - as.scaled.energy.value() / as.fixed.energy.value();
@@ -238,7 +238,7 @@ void print_provisioning() {
   arms[1].label = "autoscaled";
   arms[1].orchestration = s.orchestration;
   const auto sweep = dse::sweep_provisioning(s, {2, 3, 4, 5}, arms,
-                                             microseconds(kAutoscaleP99BoundUs), ghz(2.0));
+                                             microseconds(kAutoscaleP99BoundUs));
   std::cout << "Provisioning sweep (p99 bound " << kAutoscaleP99BoundUs << " us):\n";
   TextTable t({"chips", "arm", "p99 (us)", "energy (mJ)", "parked (ms)", "meets"});
   for (const auto& p : sweep.points) {
@@ -280,7 +280,7 @@ int main(int argc, char** argv) {
   accepted = cap_acceptance(cap) && accepted;
   std::cout << "\n";
 
-  const auto routed = dc::run_scenario(dc::Scenario::by_name("multifleet-ntc-conv"), ghz(2.0));
+  const auto routed = dc::run_scenario(dc::Scenario::by_name("multifleet-ntc-conv"));
   print_router(routed);
   accepted = router_acceptance(routed) && accepted;
   std::cout << "\n";

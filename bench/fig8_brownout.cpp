@@ -144,12 +144,12 @@ int run_smoke() {
   bool ok = true;
   {
     dc::Scenario s = dc::Scenario::by_name("rack-loss-web");
-    const auto sweep = dse::sweep_faults(s, dse::default_brownout_arms(), ghz(2.0));
+    const auto sweep = dse::sweep_faults(s, dse::default_brownout_arms());
     ok = rackloss_acceptance(sweep, s) && ok;
   }
   {
     dc::Scenario s = dc::Scenario::by_name("thermal-emergency-mixed");
-    const auto sweep = dse::sweep_faults(s, dse::default_brownout_arms(), ghz(2.0));
+    const auto sweep = dse::sweep_faults(s, dse::default_brownout_arms());
     ok = thermal_acceptance(sweep) && ok;
   }
   std::cout << (ok ? "SMOKE PASS" : "SMOKE FAIL") << "\n";
@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
   // 1. Rack-scale power loss at the diurnal trough: the brownout ladder.
   {
     dc::Scenario s = dc::Scenario::by_name("rack-loss-web");
-    const auto sweep = dse::sweep_faults(s, dse::default_brownout_arms(), ghz(2.0));
+    const auto sweep = dse::sweep_faults(s, dse::default_brownout_arms());
     print_brownout_sweep(sweep, s, "web");
     accepted = rackloss_acceptance(sweep, s) && accepted;
     std::cout << "\n";
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
   // 2. Cooling failure on the NTC rack of a routed, capped fleet.
   {
     dc::Scenario s = dc::Scenario::by_name("thermal-emergency-mixed");
-    const auto sweep = dse::sweep_faults(s, dse::default_brownout_arms(), ghz(2.0));
+    const auto sweep = dse::sweep_faults(s, dse::default_brownout_arms());
     print_brownout_sweep(sweep, s, "interactive");
     accepted = thermal_acceptance(sweep) && accepted;
     std::cout << "\n";

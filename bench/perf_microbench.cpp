@@ -4,8 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdlib>
-#include <iostream>
 #include <string>
 #include <thread>
 
@@ -162,7 +160,7 @@ void BM_ClosedLoopFleet(benchmark::State& state) {
   telemetry.timers.enable();
   const dc::RunOptions options{.telemetry = &telemetry, .threads = 1};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dc::run_scenario(s, ghz(2.0), options));
+    benchmark::DoNotOptimize(dc::run_scenario(s, options));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(s.tenants[0].requests));
@@ -194,7 +192,7 @@ void BM_ShardedFleet(benchmark::State& state) {
   s.servers = 16;  // enough chips that every worker carries real work
   s.tenants[0].requests = 240;
   s.tenants[0].warmup_requests = 24;
-  const dc::FleetRunner runner{s.fleet_config(ghz(2.0))};
+  const dc::FleetRunner runner{s};
   const dc::RunOptions options{.threads = threads};
   state.SetLabel(std::to_string(threads) + (threads == 1 ? " worker" : " workers"));
   for (auto _ : state) {
@@ -351,23 +349,4 @@ BENCHMARK(BM_TraceOverhead)->Arg(0)->Arg(1);
 
 }  // namespace
 
-// BENCHMARK_MAIN() plus the self-profiling hook: with
-// NTSERV_BENCH_PHASE_TIMERS set (run_bench.sh's default), a global
-// obs::PhaseTimers collects the DSE sweep-point wall costs of any
-// dse-driven benchmark and the accumulated phase table prints after the
-// run (stderr, so --benchmark_out JSON stays clean).
-int main(int argc, char** argv) {
-  obs::PhaseTimers timers;
-  const char* flag = std::getenv("NTSERV_BENCH_PHASE_TIMERS");
-  if (flag != nullptr && flag[0] != '\0' && flag[0] != '0') {
-    timers.enable();
-    dse::set_phase_timers(&timers);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (timers.enabled()) timers.report(std::cerr);
-  dse::set_phase_timers(nullptr);
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -213,7 +213,7 @@ std::string digest_line(const dc::Scenario& s) {
   telemetry.trace.enable();
   telemetry.metrics.enable();
   const dc::FleetResult r =
-      dc::run_scenario(s, ghz(2.0), dc::RunOptions{.telemetry = &telemetry, .threads = 1});
+      dc::run_scenario(s, dc::RunOptions{.telemetry = &telemetry, .threads = 1});
   std::ostringstream trace, metrics;
   telemetry.trace.write_jsonl(trace);
   telemetry.metrics.write_csv(metrics);

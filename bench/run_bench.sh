@@ -62,13 +62,8 @@ cache="${build_dir}/CMakeCache.txt"
 build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "${cache}" 2>/dev/null || true)"
 cxx="$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' "${cache}" 2>/dev/null || true)"
 compiler="$("${cxx:-c++}" --version 2>/dev/null | head -n 1 || true)"
-# Self-profiling (src/obs phase timers) is on by default: the flag lands
-# in the archive's context, the sweep-point/barrier wall costs surface as
-# per-benchmark counters, and the phase table prints to stderr after the
-# run. Set NTSERV_BENCH_PHASE_TIMERS=0 to switch it off.
-phase_timers="${NTSERV_BENCH_PHASE_TIMERS:-1}"
 
-NTSERV_THREADS=1 NTSERV_BENCH_PHASE_TIMERS="${phase_timers}" "${bin}" \
+NTSERV_THREADS=1 "${bin}" \
   --benchmark_format=json \
   --benchmark_min_time="${NTSERV_BENCH_MIN_TIME:-0.25}" \
   --benchmark_repetitions="${NTSERV_BENCH_REPS:-1}" \
@@ -76,7 +71,6 @@ NTSERV_THREADS=1 NTSERV_BENCH_PHASE_TIMERS="${phase_timers}" "${bin}" \
   --benchmark_context=nproc="${host_cpus}" \
   --benchmark_context=compiler="${compiler:-unknown}" \
   --benchmark_context=build_type="${build_type:-unknown}" \
-  --benchmark_context=phase_timers="${phase_timers}" \
   --benchmark_out="${out}" \
   --benchmark_out_format=json
 

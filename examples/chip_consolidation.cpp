@@ -38,7 +38,7 @@ int main() {
   dc::Scenario single = dc::Scenario::by_name("websearch-poisson-light");
   single.servers = 2;
   single.clusters_per_chip = 2;
-  const auto base = dc::run_scenario(single, ghz(2.0));
+  const auto base = dc::run_scenario(single);
   std::cout << "  " << single.name << " on 2x2-cluster chips: p99 "
             << in_us(base.p99) << " us, utilization " << base.utilization << "\n\n";
 
@@ -47,14 +47,14 @@ int main() {
   // diurnal tenant, co-located on a single 2-cluster chip under the
   // NTC-boost governor. FleetResult carries one TenantResult per tenant.
   const dc::Scenario pair = dc::Scenario::by_name("consolidated-antiphase-search");
-  const auto consolidated = dc::run_scenario(pair, ghz(2.0));
+  const auto consolidated = dc::run_scenario(pair);
   std::cout << "  " << pair.name << " (1 chip): fleet p99 " << in_us(consolidated.p99)
             << " us, energy " << consolidated.energy.value() * 1e3 << " mJ\n";
   print_tenants(consolidated);
   std::cout << "\n";
 
   std::cout << "== 3. Consolidated vs dedicated at equal p99 bounds ==\n";
-  const auto sweep = dse::sweep_consolidation(pair, {1, 2}, ghz(2.0));
+  const auto sweep = dse::sweep_consolidation(pair, {1, 2});
   const int consolidated_chips = sweep.min_consolidated_chips();
   const int dedicated_chips =
       sweep.min_dedicated_chips(0) + sweep.min_dedicated_chips(1);
@@ -77,9 +77,9 @@ int main() {
   // each chip's next epoch decision) while batch work soaks them.
   dc::Scenario mixed = dc::Scenario::by_name("consolidated-web-batch");
   mixed.policy = dc::BalancePolicy::kLeastLoaded;
-  const auto ll = dc::run_scenario(mixed, ghz(2.0));
+  const auto ll = dc::run_scenario(mixed);
   mixed.policy = dc::BalancePolicy::kGovernorAware;
-  const auto ga = dc::run_scenario(mixed, ghz(2.0));
+  const auto ga = dc::run_scenario(mixed);
   std::cout << "  least-loaded:   interactive p99 " << in_us(ll.tenants[0].p99)
             << " us, batch p99 " << in_us(ll.tenants[1].p99) << " us\n"
             << "  governor-aware: interactive p99 " << in_us(ga.tenants[0].p99)

@@ -26,9 +26,12 @@ int main() {
             << scenario.servers << " servers, "
             << traffic.user_instructions_per_request << " user instructions/request\n\n";
 
-  // 2. Run it at two frequencies and watch the measured tail move.
+  // 2. Run it at two frequencies and watch the measured tail move. The
+  //    operating frequency is part of the scenario: set it on a copy.
   for (double g : {2.0, 1.0}) {
-    const auto r = dc::run_scenario(scenario, ghz(g));
+    dc::Scenario at_g = scenario;
+    at_g.frequency = ghz(g);
+    const auto r = dc::run_scenario(at_g);
     std::cout << "@ " << g << " GHz: p50 " << in_us(r.p50) << " us, p95 "
               << in_us(r.p95) << " us, p99 " << in_us(r.p99) << " us, mean wait "
               << in_us(r.mean_wait) << " us, utilization " << r.utilization * 100
@@ -38,8 +41,10 @@ int main() {
   // 3. Feed the measured tail into the QoS anchor, exactly as the paper
   //    anchors its hardware baseline.
   const auto target = qos::QosTarget::for_workload(scenario.profile.name);
-  const auto base = dc::run_scenario(scenario, ghz(2.0));
-  const auto low = dc::run_scenario(scenario, ghz(1.0));
+  const auto base = dc::run_scenario(scenario);
+  dc::Scenario slow = scenario;
+  slow.frequency = ghz(1.0);
+  const auto low = dc::run_scenario(slow);
   std::cout << "\nMeasured normalized p99 @ 1 GHz: "
             << qos::measured_normalized_latency(target, low.p99, base.p99)
             << " (<= 1 meets the " << in_ms(target.qos_limit) << " ms QoS limit)\n";
@@ -57,7 +62,7 @@ int main() {
     s.policy = policy;
     s.tenants[0].requests = 150;
     s.tenants[0].warmup_requests = 20;
-    const auto r = dc::run_scenario(s, ghz(2.0));
+    const auto r = dc::run_scenario(s);
     std::cout << "  " << to_string(policy) << ": p99 " << in_us(r.p99)
               << " us, server active fractions [";
     for (std::size_t i = 0; i < r.server_active_fraction.size(); ++i) {
@@ -77,7 +82,7 @@ int main() {
   for (auto kind : {ctrl::GovernorKind::kFixedMax, ctrl::GovernorKind::kNtcBoost}) {
     dc::Scenario s = diurnal;
     s.governor.kind = kind;
-    const auto r = dc::run_scenario(s, ghz(2.0));
+    const auto r = dc::run_scenario(s);
     std::cout << "  " << to_string(kind) << ": p99 " << in_us(r.p99) << " us, energy "
               << r.energy.value() * 1e3 << " mJ, avg f " << r.avg_frequency_ghz
               << " GHz, " << r.transitions << " transitions, "

@@ -51,7 +51,7 @@ int main() {
   healthy.faults = fault::FaultConfig{};
   healthy.resilience = dc::ResilienceConfig{};
   std::cout << "Healthy reference (no faults, no resilience):\n";
-  report("healthy", dc::run_scenario(healthy, ghz(2.0)));
+  report("healthy", dc::run_scenario(healthy));
 
   // 3. Health-blind crash: no failover — the victim restarts its in-flight
   //    requests locally when it recovers and its queue waits out the
@@ -59,7 +59,7 @@ int main() {
   dc::Scenario blind = scenario;
   blind.resilience = dc::ResilienceConfig{};
   std::cout << "\nCrash with no resilience (outage paid in latency):\n";
-  report("health-blind", dc::run_scenario(blind, ghz(2.0)));
+  report("health-blind", dc::run_scenario(blind));
 
   // 4. Failover dispatch: the crash drains the victim's queue and
   //    re-dispatches its in-flight losses onto healthy chips; the
@@ -68,14 +68,14 @@ int main() {
   failover.resilience = dc::ResilienceConfig{};
   failover.resilience.failover = true;
   std::cout << "\nFailover dispatch (drain + re-dispatch, health-aware steering):\n";
-  report("failover", dc::run_scenario(failover, ghz(2.0)));
+  report("failover", dc::run_scenario(failover));
 
   // 5. Timeouts and hedging on top: every attempt carries a deadline
   //    (timed-out copies retry through admission back-off), and a request
   //    still waiting past ~3x the running measured p95 places one hedge
   //    copy on another healthy chip — first completion wins.
   std::cout << "\nFull posture (failover + timeout/retry + hedged requests):\n";
-  report("full", dc::run_scenario(scenario, ghz(2.0)));
+  report("full", dc::run_scenario(scenario));
 
   // 6. Guardband-degraded governors: correctable-error events make each
   //    chip's NTC-boost governor drop its FBB overdrive and run with a
@@ -84,8 +84,8 @@ int main() {
   dc::Scenario gb = dc::Scenario::by_name("ntc-guardband-web");
   dc::Scenario gb_healthy = gb;
   gb_healthy.faults = fault::FaultConfig{};
-  const auto faulted = dc::run_scenario(gb, ghz(2.0));
-  const auto clean = dc::run_scenario(gb_healthy, ghz(2.0));
+  const auto faulted = dc::run_scenario(gb);
+  const auto clean = dc::run_scenario(gb_healthy);
   std::cout << "\nGuardband governor (" << gb.name << "):\n"
             << "  error events: " << faulted.faults_injected
             << ", guardband chip-epochs: " << faulted.guardband_epochs

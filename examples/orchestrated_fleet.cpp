@@ -22,8 +22,8 @@ int main() {
   dc::Scenario fixed = diurnal;
   fixed.orchestration.autoscaler.enabled = false;
 
-  const auto scaled = dc::run_scenario(diurnal, ghz(2.0));
-  const auto rigid = dc::run_scenario(fixed, ghz(2.0));
+  const auto scaled = dc::run_scenario(diurnal);
+  const auto rigid = dc::run_scenario(fixed);
   std::cout << "Autoscaling the diurnal day (" << diurnal.servers << " chips):\n"
             << "  autoscaled: " << scaled.energy.value() * 1e3 << " mJ, p99 "
             << in_us(scaled.p99) << " us, " << scaled.autoscale_parks << " parks / "
@@ -43,8 +43,8 @@ int main() {
   dc::Scenario uncapped_s = capped_s;
   uncapped_s.orchestration.cap.enabled = false;
 
-  const auto capped = dc::run_scenario(capped_s, ghz(2.0));
-  const auto uncapped = dc::run_scenario(uncapped_s, ghz(2.0));
+  const auto capped = dc::run_scenario(capped_s);
+  const auto uncapped = dc::run_scenario(uncapped_s);
   std::cout << "Fleet power cap (" << capped.fleet_cap.value() << " W over "
             << capped_s.servers << " chips):\n"
             << "  capped:   peak " << capped.peak_epoch_power.value() << " W, "
@@ -59,7 +59,7 @@ int main() {
   //    group. Off-peak, everything consolidates onto NTC; at peak the
   //    latency-critical stream steers to the conventional group.
   const auto routed =
-      dc::run_scenario(dc::Scenario::by_name("multifleet-ntc-conv"), ghz(2.0));
+      dc::run_scenario(dc::Scenario::by_name("multifleet-ntc-conv"));
   std::cout << "NTC vs conventional routing:\n";
   for (std::size_t g = 0; g < routed.group_names.size(); ++g) {
     std::cout << "  group '" << routed.group_names[g]
@@ -83,7 +83,7 @@ int main() {
   arms[1].label = "autoscaled";
   arms[1].orchestration = diurnal.orchestration;
   const auto sweep =
-      dse::sweep_provisioning(diurnal, {2, 3, 4}, arms, microseconds(100.0), ghz(2.0));
+      dse::sweep_provisioning(diurnal, {2, 3, 4}, arms, microseconds(100.0));
   std::cout << "Provisioning for a 100 us p99 bound:\n";
   for (std::size_t a = 0; a < sweep.arm_labels.size(); ++a) {
     std::cout << "  " << sweep.arm_labels[a] << ": min chips " << sweep.min_chips(a)

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   // A governed diurnal web fleet: the registry's NTC-boost diurnal
   // scenario scaled out to `chips` chips, its arrival rate scaled with it.
   const dc::Scenario base = dc::Scenario::by_name("webserving-diurnal-ntcboost");
-  dc::FleetConfig config = base.fleet_config(ghz(2.0));
+  dc::FleetConfig config = base;
   config.servers = chips;
   dc::TenantSpec& traffic = config.tenants[0];
   traffic.arrival.rate *= static_cast<double>(chips) / static_cast<double>(base.servers);

@@ -1,8 +1,8 @@
 // Synthetic micro-op stream: the unit of work the OoO core model executes.
 //
-// In the paper, Flexus executes real SPARC binaries; our substitution (see
-// DESIGN.md) drives the same style of timing core with a statistically
-// calibrated micro-op stream. Each micro-op carries the information the
+// In the paper, Flexus executes real SPARC binaries; our substitution
+// drives the same style of timing core with a statistically calibrated
+// micro-op stream. Each micro-op carries the information the
 // timing model needs: operation class (latency/FU binding), memory address,
 // dependency distances (which earlier uops produce its inputs), branch
 // behaviour, and the user/OS tag that the paper's UIPC metric requires.

@@ -566,7 +566,14 @@ class ClusterFleet::Run {
       if (!run_window() && !skip_idle()) break;
     }
     if (trace != nullptr) trace->set_now(now_s_);
-    if (fleet_.governed_) close_epoch(true);
+    if (fleet_.governed_) {
+      close_epoch(true);
+    } else if (fleet_.metrics_ != nullptr) {
+      // An open-loop run has no epochs: one end-of-run row (epoch 0, at
+      // the span). It charges no governor energy, so its power reads 0.
+      chip_power_w_.assign(fleet_.chips_.size(), 0.0);
+      snapshot_metrics(now_s_, /*epoch_energy_j=*/0.0);
+    }
     if (trace != nullptr) trace->finish();
     return assemble();
   }
@@ -1297,19 +1304,13 @@ class ClusterFleet::Run {
   // ---- Epoch barrier ----
   //
   // One fixed order: cap split -> chip close -> brownout -> breakers ->
-  // router -> autoscaler -> metrics -> trace merge. Cap budgets are
+  // router -> autoscaler -> metrics. Cap budgets are
   // refreshed *before* the chips close (so each governor's decide() is
   // clamped by the budget its queue earned); the ladder, breakers,
   // routing and scaling react *after* (to the freshly measured epoch).
 
   void close_epoch(bool final_partial) {
     obs::PhaseTimers::Scope barrier_scope(fleet_.timers_, "epoch-barrier");
-    // Merge watermark: only events at or before the *closing* epoch's
-    // start are final — a timeout processed just after this barrier may
-    // carry a due time just before it (late by at most one delivery lag),
-    // and admitting it into the merged stream later would break the
-    // append-only determinism contract.
-    const double trace_watermark = epoch_start_s_;
     const double duration = now_s_ - epoch_start_s_;
     if (fleet_.capper_) fleet_.split_power_cap(chip_status(), /*apply_now=*/false);
     const double epoch_energy_j = close_chips(duration, final_partial);
@@ -1323,7 +1324,6 @@ class ClusterFleet::Run {
       if (fleet_.autoscaler_) step_autoscaler();
     }
     if (fleet_.metrics_ != nullptr) snapshot_metrics(duration, epoch_energy_j);
-    if (fleet_.trace_ != nullptr) fleet_.trace_->merge(trace_watermark);
     ++epoch_index_;
     epoch_start_s_ = now_s_;
   }

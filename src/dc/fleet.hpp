@@ -42,9 +42,9 @@
 // its completions with their quantum. The drain completes them serially
 // in (quantum, chip) order with the clock at that quantum: exactly the
 // order and the clock of a per-quantum serial loop. Results and
-// telemetry are therefore bit-identical for ANY worker count;
-// sweep-level fan-out (dse::sweep_*, dc::run_scenarios) still
-// parallelizes across whole operating points one level up.
+// telemetry are therefore bit-identical for ANY worker count; the
+// sweep-level fan-out (dc::run_scenarios, which every dse fleet sweep
+// calls) still parallelizes across whole runs one level up.
 #pragma once
 
 #include <cstdint>
@@ -409,9 +409,10 @@ class ClusterFleet {
 
   /// Attach observability (may be null to detach). Only the *enabled*
   /// components are wired: a disabled TraceSink costs the run exactly one
-  /// null-pointer test per emission site. Call before run(); the trace is
-  /// merged in canonical (time, chip, kind) order at each epoch barrier,
-  /// so the event stream is byte-identical for any NTSERV_THREADS.
+  /// null-pointer test per emission site. Call before run(); every event
+  /// is emitted on the coordinator thread and the trace is sorted into
+  /// canonical (time, chip, kind, seq) order at the end of the run, so the
+  /// event stream is byte-identical for any NTSERV_THREADS.
   ///
   /// DEPRECATED as a public side channel: pass telemetry through
   /// dc::RunOptions on dc::FleetRunner instead, which wires it here for

@@ -668,8 +668,8 @@ Scenario Scenario::by_name(const std::string& name) {
   throw ModelError("no scenario named: " + name);
 }
 
-FleetResult run_scenario(const Scenario& scenario, Hertz f, const RunOptions& options) {
-  return FleetRunner{scenario.fleet_config(f)}.run(options);
+FleetResult run_scenario(const Scenario& scenario, const RunOptions& options) {
+  return FleetRunner{scenario}.run(options);
 }
 
 obs::TraceMeta trace_meta(const Scenario& scenario) {
@@ -681,12 +681,11 @@ obs::TraceMeta trace_meta(const Scenario& scenario) {
   return meta;
 }
 
-std::vector<FleetResult> run_scenarios(const std::vector<Scenario>& scenarios, Hertz f,
+std::vector<FleetResult> run_scenarios(const std::vector<Scenario>& scenarios,
                                        int threads) {
   std::vector<FleetResult> results(scenarios.size());
-  sim::parallel_for_index(threads, scenarios.size(), [&](std::size_t i) {
-    results[i] = run_scenario(scenarios[i], f);
-  });
+  sim::parallel_for_index(threads, scenarios.size(),
+                          [&](std::size_t i) { results[i] = run_scenario(scenarios[i]); });
   return results;
 }
 

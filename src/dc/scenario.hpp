@@ -2,12 +2,13 @@
 // fan out over.
 //
 // A Scenario is a FleetConfig with a name and a description — workload
-// profile, tenant table, balancing policy, fleet shape and control knobs
-// — left frequency-free: fleet_config(f) returns the config at a chosen
-// frequency. Keeping scenarios declarative means every new
-// arrival×policy×fleet combination is one registry entry, and the sweep
-// drivers (dse::sweep_measured_qos, bench/fig2_measured_qos) pick them up
-// by name with no new plumbing.
+// profile, tenant table, balancing policy, fleet shape, operating
+// frequency and control knobs — so running one is running its config:
+// run_scenario(s) is FleetRunner{s}.run(). Keeping scenarios declarative
+// means every new arrival×policy×fleet combination is one registry entry,
+// and the sweep drivers (dse::sweep_*, bench/fig*) pick them up by name,
+// edit a copy per run (frequency, governor, chip count, ...) and fan the
+// copies out through run_scenarios.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +24,9 @@ struct Scenario : FleetConfig {
   std::string name;
   std::string description;
 
-  /// This scenario's config at frequency `f`.
+  /// This scenario's config at frequency `f`. Kept only because
+  /// perfbench/driver.cpp calls it; in-tree code slices the scenario
+  /// (a Scenario is a FleetConfig) or sets `frequency` on a copy.
   [[nodiscard]] FleetConfig fleet_config(Hertz f) const;
 
   /// The dedicated-fleet split of a consolidated scenario: tenant `t`
@@ -45,24 +48,26 @@ struct Scenario : FleetConfig {
 [[nodiscard]] double rate_for_load(double load, int servers, int cores_per_server,
                                    std::uint64_t user_instructions_per_request);
 
-/// Run one scenario at frequency `f` through dc::FleetRunner. The default
-/// options run serially (one worker): scenario runs usually ride inside a
-/// sweep-level fan-out (run_scenarios, dse::sweep_*) that already owns the
+/// Run one scenario at its own frequency: FleetRunner{scenario}.run(options).
+/// The default options run serially (one worker): scenario runs usually
+/// ride inside a sweep-level fan-out (run_scenarios) that already owns the
 /// cores. Pass RunOptions to attach telemetry or run the data plane on
 /// more workers; results and telemetry are bit-identical for any
 /// options.threads.
-[[nodiscard]] FleetResult run_scenario(const Scenario& scenario, Hertz f,
+[[nodiscard]] FleetResult run_scenario(const Scenario& scenario,
                                        const RunOptions& options = RunOptions{.threads = 1});
 
 /// Static exporter context (chip/core/tenant names) for writing a
 /// scenario's trace with obs::write_chrome_trace.
 [[nodiscard]] obs::TraceMeta trace_meta(const Scenario& scenario);
 
-/// Run many scenarios at one frequency, fanning them out over `threads`
-/// workers (0 = NTSERV_THREADS). Each scenario is an
-/// independent seed-derived simulation, so results are bit-identical for
-/// any thread count.
+/// Run many scenarios, each serially at its own frequency, fanning them
+/// out over `threads` workers (0 = NTSERV_THREADS); results are in
+/// scenario order. The one fan-out for whole fleet runs: every dse fleet
+/// sweep builds its vector of scenario variants and calls this. Each
+/// scenario is an independent seed-derived simulation, so results are
+/// bit-identical for any thread count.
 [[nodiscard]] std::vector<FleetResult> run_scenarios(const std::vector<Scenario>& scenarios,
-                                                     Hertz f, int threads = 0);
+                                                     int threads = 0);
 
 }  // namespace ntserv::dc

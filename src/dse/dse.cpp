@@ -12,18 +12,6 @@ namespace ntserv::dse {
 
 namespace {
 
-/// Sweep-point self-profiling sink (set_phase_timers). Wall clock only;
-/// never written into sweep results.
-obs::PhaseTimers* g_phase_timers = nullptr;
-
-}  // namespace
-
-void set_phase_timers(obs::PhaseTimers* timers) { g_phase_timers = timers; }
-
-obs::PhaseTimers* phase_timers() { return g_phase_timers; }
-
-namespace {
-
 // Satellite of the availability work: a truncated run hit its cycle cap,
 // so every downstream metric (tails, energy, violation counts) is partial.
 // Sweeps used to fold such runs in silently; now each one is flagged on
@@ -38,32 +26,28 @@ void warn_truncated(const char* sweep_kind, const std::string& scenario,
                sweep_kind, scenario.c_str(), run.c_str());
 }
 
-/// The body both sweep_faults overloads share: task 0 is the healthy
-/// reference (faults stripped, first arm applied), tasks 1..N are the
+/// The body both sweep_faults overloads share: run 0 is the healthy
+/// reference (faults stripped, first arm applied), runs 1..N are the
 /// arms on the shared fault trace. `apply(s, arm)` edits one run's
 /// scenario for its arm; `kind` labels the truncation warnings.
 template <typename Arm, typename Apply>
 FaultSweep run_fault_arms(const dc::Scenario& scenario, const std::vector<Arm>& arms,
-                          Hertz f, int threads, const char* kind, Apply apply) {
+                          int threads, const char* kind, Apply apply) {
   NTSERV_EXPECTS(scenario.faults.any(),
                  "fault sweep needs a scenario with a fault schedule");
+  std::vector<dc::Scenario> runs(arms.size() + 1, scenario);
+  runs[0].faults = fault::FaultConfig{};
+  apply(runs[0], arms.front());
+  for (std::size_t a = 0; a < arms.size(); ++a) apply(runs[a + 1], arms[a]);
+  std::vector<dc::FleetResult> results = dc::run_scenarios(runs, threads);
+
   FaultSweep sweep;
   sweep.scenario = scenario.name;
   sweep.workload = scenario.profile.name;
-  sweep.points.resize(arms.size());
-  sim::parallel_for_index(threads, arms.size() + 1, [&](std::size_t task) {
-    obs::PhaseTimers::Scope sweep_scope(g_phase_timers, "sweep-point");
-    dc::Scenario s = scenario;
-    if (task == 0) {
-      s.faults = fault::FaultConfig{};
-      apply(s, arms.front());
-      sweep.healthy = dc::run_scenario(s, f);
-    } else {
-      apply(s, arms[task - 1]);
-      sweep.points[task - 1].label = arms[task - 1].label;
-      sweep.points[task - 1].result = dc::run_scenario(s, f);
-    }
-  });
+  sweep.healthy = std::move(results[0]);
+  for (std::size_t a = 0; a < arms.size(); ++a) {
+    sweep.points.push_back({arms[a].label, std::move(results[a + 1])});
+  }
   warn_truncated(kind, sweep.scenario, "healthy reference", sweep.healthy);
   for (const auto& p : sweep.points) {
     warn_truncated(kind, sweep.scenario, "arm '" + p.label + "'", p.result);
@@ -144,7 +128,6 @@ std::vector<SweepResult> ExplorationDriver::sweep_all(
 
   // Flatten every (workload, frequency) pair into one task index space.
   sim::parallel_for_index(threads, profiles.size() * grid.size(), [&](std::size_t t) {
-    obs::PhaseTimers::Scope sweep_scope(g_phase_timers, "sweep-point");
     const std::size_t p = t / grid.size();
     const std::size_t i = t % grid.size();
     results[p].points[i] = simulators[p]->evaluate(grid[i]);
@@ -168,11 +151,9 @@ MeasuredQosSweep sweep_measured_qos(const dc::Scenario& scenario,
   sweep.scenario = scenario.name;
   sweep.workload = scenario.profile.name;
 
-  std::vector<dc::FleetResult> fleet(grid.size());
-  sim::parallel_for_index(threads, grid.size(), [&](std::size_t i) {
-    obs::PhaseTimers::Scope sweep_scope(g_phase_timers, "sweep-point");
-    fleet[i] = dc::run_scenario(scenario, grid[i]);
-  });
+  std::vector<dc::Scenario> runs(grid.size(), scenario);
+  for (std::size_t i = 0; i < grid.size(); ++i) runs[i].frequency = grid[i];
+  const std::vector<dc::FleetResult> fleet = dc::run_scenarios(runs, threads);
 
   sweep.points.resize(grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -210,20 +191,18 @@ const GovernorPoint& GovernorSweep::at(ctrl::GovernorKind kind) const {
 }
 
 GovernorSweep sweep_governors(const dc::Scenario& scenario,
-                              const std::vector<ctrl::GovernorKind>& kinds, Hertz f,
-                              int threads) {
+                              const std::vector<ctrl::GovernorKind>& kinds, int threads) {
   NTSERV_EXPECTS(!kinds.empty(), "governor sweep needs at least one kind");
+  std::vector<dc::Scenario> runs(kinds.size(), scenario);
+  for (std::size_t i = 0; i < kinds.size(); ++i) runs[i].governor.kind = kinds[i];
+  std::vector<dc::FleetResult> results = dc::run_scenarios(runs, threads);
+
   GovernorSweep sweep;
   sweep.scenario = scenario.name;
   sweep.workload = scenario.profile.name;
-  sweep.points.resize(kinds.size());
-  sim::parallel_for_index(threads, kinds.size(), [&](std::size_t i) {
-    obs::PhaseTimers::Scope sweep_scope(g_phase_timers, "sweep-point");
-    dc::Scenario s = scenario;
-    s.governor.kind = kinds[i];
-    sweep.points[i].governor = kinds[i];
-    sweep.points[i].result = dc::run_scenario(s, f);
-  });
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    sweep.points.push_back({kinds[i], std::move(results[i])});
+  }
   for (const auto& p : sweep.points) {
     warn_truncated("governor", sweep.scenario, to_string(p.governor), p.result);
   }
@@ -314,8 +293,7 @@ int ConsolidationSweep::min_dedicated_chips(std::size_t t) const {
 }
 
 ConsolidationSweep sweep_consolidation(const dc::Scenario& scenario,
-                                       const std::vector<int>& chip_counts, Hertz f,
-                                       int threads) {
+                                       const std::vector<int>& chip_counts, int threads) {
   NTSERV_EXPECTS(!chip_counts.empty(), "consolidation sweep needs chip counts");
   NTSERV_EXPECTS(scenario.tenants.size() >= 2,
                  "consolidation sweep needs a multi-tenant scenario");
@@ -326,29 +304,26 @@ ConsolidationSweep sweep_consolidation(const dc::Scenario& scenario,
     sweep.tenant_bounds.push_back(t.qos_p99_limit);
   }
 
-  const std::size_t tenants = scenario.tenants.size();
-  const std::size_t per_count = 1 + tenants;  // consolidated + each dedicated split
-  sweep.points.resize(chip_counts.size());
-  for (std::size_t i = 0; i < chip_counts.size(); ++i) {
-    NTSERV_EXPECTS(chip_counts[i] > 0, "chip counts must be positive");
-    sweep.points[i].chips = chip_counts[i];
-    sweep.points[i].dedicated.resize(tenants);
-  }
-
-  // Flatten every (chip count, consolidated-or-split) run into one task
-  // index space; each task is an independent seed-derived fleet.
-  sim::parallel_for_index(threads, chip_counts.size() * per_count, [&](std::size_t task) {
-    obs::PhaseTimers::Scope sweep_scope(g_phase_timers, "sweep-point");
-    const std::size_t i = task / per_count;
-    const std::size_t j = task % per_count;
-    dc::Scenario s = j == 0 ? scenario : scenario.dedicated(j - 1);
-    s.servers = chip_counts[i];
-    if (j == 0) {
-      sweep.points[i].consolidated = dc::run_scenario(s, f);
-    } else {
-      sweep.points[i].dedicated[j - 1] = dc::run_scenario(s, f);
+  // Per chip count: the consolidated fleet, then each dedicated split.
+  std::vector<dc::Scenario> runs;
+  for (const int chips : chip_counts) {
+    NTSERV_EXPECTS(chips > 0, "chip counts must be positive");
+    for (std::size_t j = 0; j <= scenario.tenants.size(); ++j) {
+      dc::Scenario& s = runs.emplace_back(j == 0 ? scenario : scenario.dedicated(j - 1));
+      s.servers = chips;
     }
-  });
+  }
+  std::vector<dc::FleetResult> results = dc::run_scenarios(runs, threads);
+
+  auto next = results.begin();
+  for (const int chips : chip_counts) {
+    ConsolidationPoint& p = sweep.points.emplace_back();
+    p.chips = chips;
+    p.consolidated = std::move(*next++);
+    for (std::size_t t = 0; t < scenario.tenants.size(); ++t) {
+      p.dedicated.push_back(std::move(*next++));
+    }
+  }
   for (const auto& p : sweep.points) {
     warn_truncated("consolidation", sweep.scenario,
                    "consolidated @" + std::to_string(p.chips) + " chips",
@@ -389,7 +364,7 @@ const dc::FleetResult& ProvisioningSweep::at(int chips, std::size_t a) const {
 ProvisioningSweep sweep_provisioning(const dc::Scenario& scenario,
                                      const std::vector<int>& chip_counts,
                                      const std::vector<ProvisioningArm>& arms,
-                                     Second p99_bound, Hertz f, int threads) {
+                                     Second p99_bound, int threads) {
   NTSERV_EXPECTS(!chip_counts.empty(), "provisioning sweep needs chip counts");
   NTSERV_EXPECTS(!arms.empty(), "provisioning sweep needs at least one arm");
   for (const auto& arm : arms) {
@@ -401,28 +376,28 @@ ProvisioningSweep sweep_provisioning(const dc::Scenario& scenario,
   sweep.p99_bound = p99_bound;
   for (const auto& arm : arms) sweep.arm_labels.push_back(arm.label);
 
-  sweep.points.resize(chip_counts.size());
-  for (std::size_t i = 0; i < chip_counts.size(); ++i) {
-    NTSERV_EXPECTS(chip_counts[i] > 0, "chip counts must be positive");
-    sweep.points[i].chips = chip_counts[i];
-    sweep.points[i].results.resize(arms.size());
-  }
-
-  // Flatten every (chip count, arm) run into one task index space; each
-  // task is an independent seed-derived fleet.
-  sim::parallel_for_index(threads, chip_counts.size() * arms.size(), [&](std::size_t task) {
-    obs::PhaseTimers::Scope sweep_scope(g_phase_timers, "sweep-point");
-    const std::size_t i = task / arms.size();
-    const std::size_t a = task % arms.size();
-    dc::Scenario s = scenario;
-    s.servers = chip_counts[i];
-    s.orchestration = arms[a].orchestration;
-    if (s.orchestration.autoscaler.enabled) {
-      s.orchestration.autoscaler.min_active =
-          std::min(s.orchestration.autoscaler.min_active, chip_counts[i]);
+  // Per chip count, every arm in arm order.
+  std::vector<dc::Scenario> runs;
+  for (const int chips : chip_counts) {
+    NTSERV_EXPECTS(chips > 0, "chip counts must be positive");
+    for (const auto& arm : arms) {
+      dc::Scenario& s = runs.emplace_back(scenario);
+      s.servers = chips;
+      s.orchestration = arm.orchestration;
+      if (s.orchestration.autoscaler.enabled) {
+        s.orchestration.autoscaler.min_active =
+            std::min(s.orchestration.autoscaler.min_active, chips);
+      }
     }
-    sweep.points[i].results[a] = dc::run_scenario(s, f);
-  });
+  }
+  std::vector<dc::FleetResult> results = dc::run_scenarios(runs, threads);
+
+  auto next = results.begin();
+  for (const int chips : chip_counts) {
+    ProvisioningPoint& p = sweep.points.emplace_back();
+    p.chips = chips;
+    for (std::size_t a = 0; a < arms.size(); ++a) p.results.push_back(std::move(*next++));
+  }
   for (const auto& p : sweep.points) {
     for (std::size_t a = 0; a < arms.size(); ++a) {
       warn_truncated("provisioning", sweep.scenario,
@@ -452,9 +427,9 @@ const FaultPoint& FaultSweep::at(const std::string& label) const {
 }
 
 FaultSweep sweep_faults(const dc::Scenario& scenario,
-                        const std::vector<ResilienceArm>& arms, Hertz f, int threads) {
+                        const std::vector<ResilienceArm>& arms, int threads) {
   NTSERV_EXPECTS(!arms.empty(), "fault sweep needs at least one resilience arm");
-  return run_fault_arms(scenario, arms, f, threads, "fault",
+  return run_fault_arms(scenario, arms, threads, "fault",
                         [](dc::Scenario& s, const ResilienceArm& arm) {
                           s.resilience = arm.resilience;
                         });
@@ -477,9 +452,9 @@ std::vector<BrownoutArm> default_brownout_arms() {
 }
 
 FaultSweep sweep_faults(const dc::Scenario& scenario,
-                        const std::vector<BrownoutArm>& arms, Hertz f, int threads) {
+                        const std::vector<BrownoutArm>& arms, int threads) {
   NTSERV_EXPECTS(!arms.empty(), "fault sweep needs at least one brownout arm");
-  return run_fault_arms(scenario, arms, f, threads, "brownout",
+  return run_fault_arms(scenario, arms, threads, "brownout",
                         [](dc::Scenario& s, const BrownoutArm& arm) {
                           s.brownout.enabled = arm.brownout;
                           if (arm.brownout) s.brownout.max_stage = arm.max_stage;

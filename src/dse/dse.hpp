@@ -10,6 +10,12 @@
 //  * an energy-proportionality score (Sec. V-C: how far the platform is
 //    from power proportional to load);
 //  * consolidation headroom in relaxed-QoS public clouds (Sec. V-C).
+//
+// The request-level fleet sweeps (sweep_measured_qos, sweep_governors,
+// sweep_faults, sweep_consolidation, sweep_provisioning) each build one
+// scenario copy per run — at the scenario's own frequency unless the
+// sweep's axis is frequency — fan them out through dc::run_scenarios, and
+// fold the results in run order.
 #pragma once
 
 #include <string>
@@ -20,13 +26,6 @@
 #include "sim/server_sim.hpp"
 
 namespace ntserv::dse {
-
-/// Attach wall-clock self-profiling to the sweep drivers (null detaches).
-/// Every fleet-simulation sweep point then adds one "sweep-point" sample;
-/// obs::PhaseTimers is mutex-guarded, so pool workers report safely. Wall
-/// time never enters sweep results — this is turnaround diagnostics only.
-void set_phase_timers(obs::PhaseTimers* timers);
-[[nodiscard]] obs::PhaseTimers* phase_timers();
 
 /// Which power scope divides UIPS in an efficiency series.
 enum class Scope { kCores, kSoc, kServer };
@@ -124,10 +123,10 @@ struct MeasuredQosSweep {
   [[nodiscard]] Second baseline_p99() const;
 };
 
-/// Sweep a scenario over a frequency grid, fanning the points out over
-/// `threads` workers (0 = NTSERV_THREADS). Each point runs its fleet
-/// with the scenario's own seed, so results are bit-identical for any
-/// thread count.
+/// Sweep a scenario over a frequency grid (each point a copy of the
+/// scenario with `frequency` set), fanning the points out over `threads`
+/// workers (0 = NTSERV_THREADS). Each point runs its fleet with the
+/// scenario's own seed, so results are bit-identical for any thread count.
 [[nodiscard]] MeasuredQosSweep sweep_measured_qos(const dc::Scenario& scenario,
                                                   const qos::QosTarget& target,
                                                   const std::vector<Hertz>& grid,
@@ -141,7 +140,7 @@ struct GovernorPoint {
   dc::FleetResult result;  ///< includes energy, epoch records, shed counters
 };
 
-/// A governor face-off on one scenario at one dispatch frequency.
+/// A governor face-off on one scenario at its dispatch frequency.
 struct GovernorSweep {
   std::string scenario;
   std::string workload;
@@ -159,7 +158,7 @@ struct GovernorSweep {
 /// epoch sizing) is kept; only the kind is overridden per point.
 [[nodiscard]] GovernorSweep sweep_governors(const dc::Scenario& scenario,
                                             const std::vector<ctrl::GovernorKind>& kinds,
-                                            Hertz f, int threads = 0);
+                                            int threads = 0);
 
 // ---- Fault-tolerance sweeps (src/fault + dc resilience) ----
 
@@ -212,7 +211,7 @@ struct FaultSweep {
 /// between arms are purely the resilience machinery.
 [[nodiscard]] FaultSweep sweep_faults(const dc::Scenario& scenario,
                                       const std::vector<ResilienceArm>& arms,
-                                      Hertz f, int threads = 0);
+                                      int threads = 0);
 
 /// One graceful-degradation posture to run a faulted scenario under. The
 /// scenario's fault schedule, traffic and resilience are kept; only the
@@ -240,7 +239,7 @@ struct BrownoutArm {
 /// shared across arms and bit-identical for any thread count.
 [[nodiscard]] FaultSweep sweep_faults(const dc::Scenario& scenario,
                                       const std::vector<BrownoutArm>& arms,
-                                      Hertz f, int threads = 0);
+                                      int threads = 0);
 
 /// Consolidation headroom (Sec. V-C): with QoS met at `qos_floor` but the
 /// efficiency optimum at `f_opt` > floor, the spare throughput factor
@@ -290,7 +289,7 @@ struct ConsolidationSweep {
 /// so results are bit-identical for any thread count.
 [[nodiscard]] ConsolidationSweep sweep_consolidation(const dc::Scenario& scenario,
                                                      const std::vector<int>& chip_counts,
-                                                     Hertz f, int threads = 0);
+                                                     int threads = 0);
 
 // ---- Provisioning sweeps (src/orch fleet orchestration) ----
 
@@ -340,7 +339,6 @@ struct ProvisioningSweep {
 [[nodiscard]] ProvisioningSweep sweep_provisioning(const dc::Scenario& scenario,
                                                    const std::vector<int>& chip_counts,
                                                    const std::vector<ProvisioningArm>& arms,
-                                                   Second p99_bound, Hertz f,
-                                                   int threads = 0);
+                                                   Second p99_bound, int threads = 0);
 
 }  // namespace ntserv::dse

@@ -2,8 +2,9 @@
 //
 // ntserv is a modeling and simulation library for near-threshold server
 // processors, reproducing Pahlevan et al., "Towards Near-Threshold Server
-// Processors" (DATE 2016). See README.md for a tour and DESIGN.md for the
-// system inventory.
+// Processors" (DATE 2016). The docs/ pages cover the request-level
+// layers: datacenter.md (fleets and scenarios), control.md, reliability.md,
+// orchestration.md, observability.md and performance.md.
 #pragma once
 
 #include "common/rng.hpp"
@@ -29,7 +30,6 @@
 #include "workload/bitbrains.hpp"
 #include "workload/profile.hpp"
 #include "workload/synthetic.hpp"
-#include "workload/trace.hpp"
 
 #include "sim/cluster.hpp"
 #include "sim/sampling.hpp"

@@ -28,9 +28,8 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Canonical merge order: (time, chip, kind, per-chip seq). The seq
-/// tie-break makes the order total, so a sort is a pure function of the
-/// event set — independent of emission interleaving.
+/// Canonical order: (time, chip, kind, emission seq). The seq tie-break
+/// makes the order total, so a sort is a pure function of the event set.
 bool canonical_less(const TraceEvent& a, const TraceEvent& b) {
   if (a.time_s != b.time_s) return a.time_s < b.time_s;
   if (a.chip != b.chip) return a.chip < b.chip;
@@ -85,26 +84,18 @@ std::string format_double(double v) {
 
 void TraceSink::begin_run(int chips) {
   NTSERV_EXPECTS(chips > 0, "trace sink needs at least one chip");
-  buffers_.assign(static_cast<std::size_t>(chips) + 1, {});
+  chips_ = chips;
   events_.clear();
   now_s_ = 0.0;
-  merged_watermark_ = 0.0;
   seq_ = 0;
 }
 
 void TraceSink::emit(EventKind kind, int chip, double time_s, int tenant,
                      std::int64_t id, double value, double aux_s, int core) {
   if (!enabled_) return;
-  NTSERV_EXPECTS(!buffers_.empty(), "emit before begin_run");
-  NTSERV_EXPECTS(chip >= -1 && chip + 1 < static_cast<int>(buffers_.size()),
+  NTSERV_EXPECTS(chips_ > 0, "emit before begin_run");
+  NTSERV_EXPECTS(chip >= -1 && chip < chips_,
                  "trace event targets a chip outside the fleet");
-  // The barrier merge is append-only: an event older than the merged
-  // watermark would have to be spliced into the canonical stream. Every
-  // fleet emission site delivers within one quantum of its timestamp, so
-  // this fires only on a genuinely late (mis-stamped) event.
-  NTSERV_ENSURES(time_s >= merged_watermark_,
-                 "trace event predates the merged watermark (kind " +
-                     std::string(to_string(kind)) + ")");
   TraceEvent e;
   e.time_s = time_s;
   e.aux_s = aux_s;
@@ -115,44 +106,10 @@ void TraceSink::emit(EventKind kind, int chip, double time_s, int tenant,
   e.tenant = tenant;
   e.core = core;
   e.kind = kind;
-  buffers_[static_cast<std::size_t>(chip) + 1].push_back(e);
+  events_.push_back(e);
 }
 
-void TraceSink::merge(double watermark) {
-  if (!enabled_ || buffers_.empty()) return;
-  // Collect everything due across the per-chip buffers, sort once into
-  // canonical order, append. Buffers stay small: one epoch of events.
-  std::vector<TraceEvent> batch;
-  for (auto& buf : buffers_) {
-    auto keep = buf.begin();
-    for (auto it = buf.begin(); it != buf.end(); ++it) {
-      if (it->time_s <= watermark) {
-        batch.push_back(*it);
-      } else {
-        *keep++ = *it;
-      }
-    }
-    buf.erase(keep, buf.end());
-  }
-  std::sort(batch.begin(), batch.end(), canonical_less);
-  events_.insert(events_.end(), batch.begin(), batch.end());
-  merged_watermark_ = std::max(merged_watermark_, watermark);
-}
-
-void TraceSink::finish() {
-  if (!enabled_ || buffers_.empty()) return;
-  double last = merged_watermark_;
-  for (const auto& buf : buffers_) {
-    for (const auto& e : buf) last = std::max(last, e.time_s);
-  }
-  merge(last);
-}
-
-std::size_t TraceSink::buffered() const {
-  std::size_t n = 0;
-  for (const auto& buf : buffers_) n += buf.size();
-  return n;
-}
+void TraceSink::finish() { std::sort(events_.begin(), events_.end(), canonical_less); }
 
 void TraceSink::write_jsonl(std::ostream& os) const {
   for (const auto& e : events_) {

@@ -10,17 +10,17 @@
 //    lifecycle (admit/retry/dispatch/hedge/redispatch/complete/shed),
 //    governor decisions (frequency changes, guardband engage/release,
 //    FBB boost), fault delivery, brownout stage transitions, breaker
-//    trips, autoscaler park/drain/wake, and cap splits. Events land in
-//    per-chip buffers (the parallel-benchmark idiom: per-worker buffers,
-//    merged at barriers) and are merged into one canonical stream in
-//    fixed (time, chip, kind, seq) order at each epoch barrier, so the
-//    emitted trace is a pure function of the run — byte-identical for
-//    any NTSERV_THREADS, any sweep ordering, any emission interleaving.
+//    trips, autoscaler park/drain/wake, and cap splits. Every event is
+//    emitted on the run's coordinator thread into one buffer, sorted
+//    once at the end of the run into fixed (time, chip, kind, seq)
+//    order, so the emitted trace is a pure function of the run —
+//    byte-identical for any NTSERV_THREADS and any sweep ordering.
 //
 //  * MetricsRegistry — named counters / gauges / windowed histograms
-//    snapshotted once per epoch barrier into a CSV/JSONL time-series
-//    (queue depth, realized frequency and power, P² tails, brownout
-//    stage, breaker state, parked count — per chip and fleet-wide).
+//    snapshotted once per epoch barrier (once at the end of an open-loop
+//    run) into a CSV/JSONL time-series (queue depth, realized frequency
+//    and power, P² tails, brownout stage, breaker state, parked count —
+//    per chip and fleet-wide).
 //
 //  * write_chrome_trace — a Chrome/Perfetto trace-event JSON exporter:
 //    chips map to processes, cores to tracks (request service spans are
@@ -28,10 +28,10 @@
 //    columns to counter tracks, so a `rack-loss-web` run opens directly
 //    in a trace viewer (ui.perfetto.dev or chrome://tracing).
 //
-//  * PhaseTimers — wall-clock self-profiling (per barrier, per sweep
-//    point). Wall time is the one nondeterministic quantity here, so it
-//    is never written into trace or metrics files — it only surfaces in
-//    reports and bench counters.
+//  * PhaseTimers — wall-clock self-profiling (per barrier, per run).
+//    Wall time is the one nondeterministic quantity here, so it is never
+//    written into trace or metrics files — it only surfaces in reports
+//    and bench counters.
 //
 // Everything serialized uses simulated time and fixed "%.9g" formatting:
 // the determinism contract is that two runs of the same config produce
@@ -52,8 +52,8 @@
 namespace ntserv::obs {
 
 /// Typed trace-event kinds. The enum order is part of the canonical
-/// merge order (events tied on (time, chip) sort by kind), so append new
-/// kinds at the end of their group and re-anchor goldens when inserting.
+/// order (events tied on (time, chip) sort by kind), so append new kinds
+/// at the end of their group and re-anchor goldens when inserting.
 enum class EventKind : std::uint8_t {
   // Request lifecycle (chip = target chip; -1 before placement).
   kAdmit = 0,   ///< a fresh request entered the fleet (one per unique id)
@@ -93,8 +93,8 @@ enum class EventKind : std::uint8_t {
 
 /// One structured trace event, in simulated wall seconds. `chip` is -1
 /// for fleet-scope events (admits before placement, brownout stages, cap
-/// splits); `seq` is the per-chip emission sequence, the deterministic
-/// tie-break of the canonical merge order.
+/// splits); `seq` is the run's global emission sequence, the
+/// deterministic tie-break of the canonical order.
 struct TraceEvent {
   double time_s = 0.0;
   double aux_s = 0.0;   ///< kComplete: service start; kRetry: due time
@@ -111,8 +111,8 @@ struct TraceEvent {
 /// disabled sink costs the fleet one pointer test per site. The fleet
 /// calls begin_run() once, set_now() once per loop iteration (so
 /// components without a clock — breakers, the brownout ladder, the
-/// capper — can stamp their events), merge() at each epoch barrier, and
-/// finish() at the end of the run.
+/// capper — can stamp their events), and finish() at the end of the run.
+/// Every emit() runs on the fleet's coordinator thread.
 class TraceSink {
  public:
   TraceSink() = default;
@@ -127,9 +127,9 @@ class TraceSink {
   void set_now(double now_s) { now_s_ = now_s; }
   [[nodiscard]] double now() const { return now_s_; }
 
-  /// Record one event into its chip's buffer (chip -1 = fleet scope).
-  /// Events may be emitted slightly out of time order across chips and
-  /// sites; the barrier merge restores the canonical order.
+  /// Record one event (chip -1 = fleet scope). Events may be emitted out
+  /// of time order (a timeout drained after a barrier carries its earlier
+  /// due time); finish() restores the canonical order.
   void emit(EventKind kind, int chip, double time_s, int tenant = -1,
             std::int64_t id = -1, double value = 0.0, double aux_s = 0.0,
             int core = -1);
@@ -139,18 +139,12 @@ class TraceSink {
     emit(kind, chip, now_s_, tenant, id, value);
   }
 
-  /// Epoch-barrier merge: move every buffered event with
-  /// time_s <= watermark into the canonical stream, sorted by
-  /// (time, chip, kind, seq). Events after the watermark stay buffered
-  /// (a timeout processed just after the barrier may carry a due time
-  /// just before it; merging only up to the previous boundary keeps the
-  /// stream append-only).
-  void merge(double watermark);
-  /// Merge everything still buffered (end of run).
+  /// Sort the run's events into canonical (time, chip, kind, seq) order.
   void finish();
 
+  /// The recorded events: in emission order until finish(), canonical
+  /// after it.
   [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
-  [[nodiscard]] std::size_t buffered() const;
 
   /// One JSON object per line, schema documented in docs/observability.md.
   /// Deterministic: fixed field order and "%.9g" number formatting.
@@ -159,13 +153,13 @@ class TraceSink {
  private:
   bool enabled_ = false;
   double now_s_ = 0.0;
-  double merged_watermark_ = 0.0;
+  int chips_ = 0;
   std::uint64_t seq_ = 0;
-  std::vector<std::vector<TraceEvent>> buffers_;  ///< [chip + 1]
-  std::vector<TraceEvent> events_;                ///< canonical merged stream
+  std::vector<TraceEvent> events_;
 };
 
-/// Named metric columns snapshotted once per epoch barrier. Three kinds:
+/// Named metric columns snapshotted once per epoch barrier (once at the
+/// end of an open-loop fleet run). Three kinds:
 /// counters (monotonic running totals), gauges (instantaneous values),
 /// and windowed histograms (samples since the previous snapshot,
 /// reported as count/mean/max columns and reset). All values are
@@ -228,10 +222,10 @@ class MetricsRegistry {
   std::vector<std::pair<std::uint64_t, double>> row_keys_;  ///< (epoch, time_s)
 };
 
-/// Wall-clock self-profiling accumulators ("barrier", "advance",
-/// "sweep-point", ...). Mutex-guarded: sweep points report from pool
-/// workers. Never serialized into telemetry files — wall time is
-/// host-dependent; report() is for stdout/bench counters only.
+/// Wall-clock self-profiling accumulators ("fleet-run", "epoch-barrier",
+/// ...). Mutex-guarded, so any thread may report. Never serialized into
+/// telemetry files — wall time is host-dependent; report() is for
+/// stdout/bench counters only.
 class PhaseTimers {
  public:
   PhaseTimers() = default;

@@ -1,6 +1,6 @@
 // Statistical micro-op generator: turns a WorkloadProfile into an infinite
 // program-order uop stream (the paper-substitution for running real
-// CloudSuite binaries under Flexus; see DESIGN.md).
+// CloudSuite binaries under Flexus).
 #pragma once
 
 #include <cstdint>

@@ -63,7 +63,7 @@ dc::Scenario saturated_scenario() {
 }
 
 TEST(Admission, SaturatedPoissonShedsInsteadOfTruncating) {
-  const auto r = dc::run_scenario(saturated_scenario(), ghz(2.0));
+  const auto r = dc::run_scenario(saturated_scenario());
   // Back-off lets the run dispose of every offered request: no truncation.
   EXPECT_FALSE(r.truncated);
   EXPECT_EQ(r.offered, 165u);
@@ -83,7 +83,7 @@ TEST(Admission, SaturatedPoissonShedsInsteadOfTruncating) {
 TEST(Admission, WithoutAdmissionTheSameOverloadTruncates) {
   dc::Scenario s = saturated_scenario();
   s.admission.enabled = false;
-  auto cfg = s.fleet_config(ghz(2.0));
+  dc::FleetConfig cfg = s;
   cfg.max_cycles = 300'000;  // tight cap: the unbounded queue hits it
   const auto r = dc::FleetRunner{cfg}.run({.threads = 1});
   EXPECT_TRUE(r.truncated);
@@ -91,8 +91,8 @@ TEST(Admission, WithoutAdmissionTheSameOverloadTruncates) {
 }
 
 TEST(Admission, BackoffRunsAreDeterministic) {
-  const auto a = dc::run_scenario(saturated_scenario(), ghz(2.0));
-  const auto b = dc::run_scenario(saturated_scenario(), ghz(2.0));
+  const auto a = dc::run_scenario(saturated_scenario());
+  const auto b = dc::run_scenario(saturated_scenario());
   EXPECT_GT(a.retries, 0u);
   EXPECT_TRUE(a == b);
 }

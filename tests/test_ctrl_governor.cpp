@@ -154,8 +154,8 @@ TEST(Governor, GovernedSweepIsThreadCountInvariant) {
   const std::vector<GovernorKind> kinds{GovernorKind::kFixedMax,
                                         GovernorKind::kOndemandDvfs,
                                         GovernorKind::kNtcBoost};
-  const auto one = dse::sweep_governors(small_diurnal(), kinds, ghz(2.0), 1);
-  const auto four = dse::sweep_governors(small_diurnal(), kinds, ghz(2.0), 4);
+  const auto one = dse::sweep_governors(small_diurnal(), kinds, 1);
+  const auto four = dse::sweep_governors(small_diurnal(), kinds, 4);
   ASSERT_EQ(one.points.size(), four.points.size());
   for (std::size_t i = 0; i < one.points.size(); ++i) {
     EXPECT_FALSE(one.points[i].result.epochs.empty());
@@ -167,7 +167,7 @@ TEST(Governor, GovernedSweepIsThreadCountInvariant) {
 TEST(Governor, ClosedLoopAccountingIsConsistent) {
   dc::Scenario s = small_diurnal();
   s.governor.kind = GovernorKind::kOndemandDvfs;
-  const auto r = dc::run_scenario(s, ghz(2.0));
+  const auto r = dc::run_scenario(s);
   ASSERT_FALSE(r.epochs.empty());
   EXPECT_GT(r.energy.value(), 0.0);
   EXPECT_GT(r.avg_frequency_ghz, 0.0);
@@ -211,7 +211,7 @@ TEST(Governor, NtcBoostSavesEnergyAtComparableTailOnTheDiurnal) {
   // slower service is uncompensated; the full-size strict comparison is
   // bench/fig4_closed_loop's job).
   const std::vector<GovernorKind> kinds{GovernorKind::kFixedMax, GovernorKind::kNtcBoost};
-  const auto sweep = dse::sweep_governors(small_diurnal(), kinds, ghz(2.0));
+  const auto sweep = dse::sweep_governors(small_diurnal(), kinds);
   const auto& fixed = sweep.at(GovernorKind::kFixedMax).result;
   const auto& ntc = sweep.at(GovernorKind::kNtcBoost).result;
   EXPECT_LT(ntc.energy.value(), fixed.energy.value());

@@ -115,8 +115,8 @@ TEST(Chip, RunsAreDeterministicAcrossThreadCountsAndPolicies) {
     s.policy = p;
     batch.push_back(s);
   }
-  const auto serial = run_scenarios(batch, ghz(2.0), 1);
-  const auto parallel = run_scenarios(batch, ghz(2.0), 4);
+  const auto serial = run_scenarios(batch, 1);
+  const auto parallel = run_scenarios(batch, 4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(serial[i] == parallel[i]) << "policy " << to_string(policies[i]);
@@ -124,7 +124,7 @@ TEST(Chip, RunsAreDeterministicAcrossThreadCountsAndPolicies) {
 }
 
 TEST(Chip, TenantAccountingIsConsistent) {
-  const auto r = run_scenario(tiny_consolidated(), ghz(2.0));
+  const auto r = run_scenario(tiny_consolidated());
   ASSERT_EQ(r.tenants.size(), 2u);
   EXPECT_FALSE(r.truncated);
   std::uint64_t completed = 0, offered = 0, shed = 0;
@@ -152,7 +152,7 @@ TEST(Chip, PerTenantPercentileGoldens) {
   // the numbers are a deterministic function of (config, seed) and must
   // not drift silently (dispatch-order or accounting regressions move
   // them far more than the tolerance).
-  const auto r = run_scenario(tiny_consolidated(), ghz(2.0));
+  const auto r = run_scenario(tiny_consolidated());
   ASSERT_EQ(r.tenants.size(), 2u);
   const auto& critical = r.tenants[0];
   const auto& batch = r.tenants[1];
@@ -195,9 +195,9 @@ TEST(Chip, GovernorAwareSteersUnderForcedDescent) {
   s.seed = 33;
 
   s.policy = BalancePolicy::kLeastLoaded;
-  const auto ll = run_scenario(s, ghz(2.0));
+  const auto ll = run_scenario(s);
   s.policy = BalancePolicy::kGovernorAware;
-  const auto ga = run_scenario(s, ghz(2.0));
+  const auto ga = run_scenario(s);
 
   EXPECT_FALSE(ll.truncated);
   EXPECT_FALSE(ga.truncated);

@@ -25,7 +25,7 @@ TEST(Consolidation, DedicatedSplitExtractsOneTenant) {
   EXPECT_EQ(day.tenants[0].name, "day-peak");
   EXPECT_EQ(day.servers, s.servers);
   EXPECT_EQ(day.clusters_per_chip, s.clusters_per_chip);
-  EXPECT_NO_THROW(day.fleet_config(ghz(2.0)).validate());
+  EXPECT_NO_THROW(day.validate());
   EXPECT_THROW((void)s.dedicated(2), ModelError);
   // A single-tenant table has nothing to split.
   EXPECT_THROW((void)Scenario::by_name("websearch-poisson-light").dedicated(0),
@@ -34,8 +34,8 @@ TEST(Consolidation, DedicatedSplitExtractsOneTenant) {
 
 TEST(Consolidation, SweepIsThreadCountInvariant) {
   const Scenario s = trimmed_antiphase();
-  const auto one = dse::sweep_consolidation(s, {1}, ghz(2.0), 1);
-  const auto four = dse::sweep_consolidation(s, {1}, ghz(2.0), 4);
+  const auto one = dse::sweep_consolidation(s, {1}, 1);
+  const auto four = dse::sweep_consolidation(s, {1}, 4);
   ASSERT_EQ(one.points.size(), 1u);
   ASSERT_EQ(four.points.size(), 1u);
   const auto& a = one.points[0];
@@ -50,7 +50,7 @@ TEST(Consolidation, AntiphaseTenantsShareOneChipAtEqualBounds) {
   // antiphase tenants inside their p99 bounds while the dedicated splits
   // need one chip each — consolidation halves the fleet.
   const Scenario s = trimmed_antiphase();
-  const auto sweep = dse::sweep_consolidation(s, {1}, ghz(2.0));
+  const auto sweep = dse::sweep_consolidation(s, {1});
   const auto& point = sweep.points.front();
   EXPECT_TRUE(sweep.meets(point.consolidated, 0));
   EXPECT_TRUE(sweep.meets(point.consolidated, 1));

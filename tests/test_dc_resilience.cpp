@@ -180,7 +180,7 @@ TEST(Resilience, HedgingDuplicatesSlowRequestsAndFirstCompletionWins) {
 /// Data Serving at twice its registry load with a short warm, failover
 /// on, and chip 1 crashed for 100 us from `crash_s`.
 FleetConfig crash_probe(double crash_s) {
-  FleetConfig c = Scenario::by_name("dataserving-lognormal-budget").fleet_config(ghz(2.0));
+  FleetConfig c = Scenario::by_name("dataserving-lognormal-budget");
   c.warm_instructions = 100'000;
   c.tenants[0].requests = 150;
   c.tenants[0].arrival.rate *= 2.0;
@@ -274,8 +274,8 @@ TEST(Resilience, GuardbandChargesEnergyAndRecoversToThePin) {
   Scenario s = Scenario::by_name("ntc-guardband-web");
   Scenario healthy = s;
   healthy.faults = fault::FaultConfig{};
-  const FleetResult faulted = run_scenario(s, ghz(2.0));
-  const FleetResult clean = run_scenario(healthy, ghz(2.0));
+  const FleetResult faulted = run_scenario(s);
+  const FleetResult clean = run_scenario(healthy);
   EXPECT_FALSE(faulted.truncated);
   EXPECT_GT(faulted.guardband_epochs, 0);
   EXPECT_EQ(clean.guardband_epochs, 0);
@@ -297,8 +297,8 @@ TEST(Resilience, FaultedRunsAreDeterministicAcrossThreadCounts) {
   s.tenants[0].requests = 300;  // span still covers the scripted crash window
   s.tenants[0].warmup_requests = 20;
   std::vector<Scenario> batch{s, s};
-  const auto one = run_scenarios(batch, ghz(2.0), 1);
-  const auto four = run_scenarios(batch, ghz(2.0), 4);
+  const auto one = run_scenarios(batch, 1);
+  const auto four = run_scenarios(batch, 4);
   ASSERT_EQ(one.size(), four.size());
   for (std::size_t i = 0; i < one.size(); ++i) {
     EXPECT_EQ(one[i].offered, 320u);

@@ -21,7 +21,7 @@ TEST(Scenario, RegistryEntriesAreUniqueAndExpandable) {
     for (const auto& t : s.tenants) kinds.insert(t.arrival.kind);
     policies.insert(s.policy);
     // Every entry must expand into a valid runnable configuration.
-    EXPECT_NO_THROW(s.fleet_config(ghz(2.0)).validate()) << s.name;
+    EXPECT_NO_THROW(s.validate()) << s.name;
   }
   // The catalog exercises every arrival family and every policy.
   EXPECT_EQ(kinds.size(), 5u);
@@ -68,8 +68,8 @@ TEST(Scenario, RunScenariosIsThreadCountInvariant) {
                                       s.policy = BalancePolicy::kRoundRobin;
                                       return s;
                                     }()};
-  const auto serial = run_scenarios(batch, ghz(2.0), 1);
-  const auto parallel = run_scenarios(batch, ghz(2.0), 4);
+  const auto serial = run_scenarios(batch, 1);
+  const auto parallel = run_scenarios(batch, 4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(serial[i] == parallel[i]) << "batch entry " << i;

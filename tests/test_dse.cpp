@@ -133,7 +133,7 @@ TEST(Dse, GovernorSweepSurfacesTruncatedRuns) {
   const dc::Scenario s = truncating_scenario();
   testing::internal::CaptureStderr();
   const GovernorSweep sweep =
-      sweep_governors(s, {ctrl::GovernorKind::kFixedMax}, ghz(2.0), 1);
+      sweep_governors(s, {ctrl::GovernorKind::kFixedMax}, 1);
   const std::string err = testing::internal::GetCapturedStderr();
 
   ASSERT_EQ(sweep.points.size(), 1u);
@@ -150,7 +150,7 @@ TEST(Dse, ProvisioningSweepTreatsTruncatedRunsAsNotMeeting) {
   arms[0].label = "fixed";
   testing::internal::CaptureStderr();
   const ProvisioningSweep sweep =
-      sweep_provisioning(s, {2, 3}, arms, microseconds(200.0), ghz(2.0), 1);
+      sweep_provisioning(s, {2, 3}, arms, microseconds(200.0), 1);
   const std::string err = testing::internal::GetCapturedStderr();
 
   ASSERT_EQ(sweep.points.size(), 2u);

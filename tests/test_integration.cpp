@@ -1,6 +1,6 @@
 // End-to-end integration tests: the paper's headline claims, verified on
 // reduced sweeps so the suite stays fast. The full-resolution versions are
-// the bench binaries (see DESIGN.md experiment index).
+// the bench binaries (bench/fig*, bench/table*, bench/ablation_*).
 #include <gtest/gtest.h>
 
 #include "ntserv/ntserv.hpp"

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "dc/runner.hpp"
 #include "dc/scenario.hpp"
 #include "obs/obs.hpp"
@@ -15,16 +16,15 @@ namespace ntserv::obs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// TraceSink unit: canonical merge order and the watermark contract.
+// TraceSink unit: the canonical (time, chip, kind, seq) order.
 // ---------------------------------------------------------------------------
 
-TEST(TraceSink, MergesBuffersIntoCanonicalOrder) {
+TEST(TraceSink, FinishSortsIntoCanonicalOrder) {
   TraceSink sink;
   sink.enable();
   sink.begin_run(/*chips=*/3);
-  // Emit deliberately out of time order across chips — the per-chip
-  // buffers tolerate it; the barrier merge restores (time, chip, kind,
-  // seq) order.
+  // Emit deliberately out of time order across chips — finish() restores
+  // (time, chip, kind, seq) order.
   sink.emit(EventKind::kDispatch, /*chip=*/2, 0.002);
   sink.emit(EventKind::kDispatch, /*chip=*/0, 0.001);
   sink.emit(EventKind::kAdmit, /*chip=*/-1, 0.001);
@@ -56,23 +56,30 @@ TEST(TraceSink, MergesBuffersIntoCanonicalOrder) {
   EXPECT_EQ(ev.back().chip, 2);
 }
 
-TEST(TraceSink, WatermarkKeepsLateEventsBuffered) {
+TEST(TraceSink, LateEventWithEarlierTimestampSortsIntoPlace) {
   TraceSink sink;
   sink.enable();
   sink.begin_run(2);
   sink.emit(EventKind::kAdmit, -1, 0.5);
-  sink.emit(EventKind::kDispatch, 0, 1.5);  // after the first barrier
-  sink.merge(/*watermark=*/1.0);
-  EXPECT_EQ(sink.events().size(), 1u);
-  EXPECT_EQ(sink.buffered(), 1u);
-  // Events emitted after a merge may still precede the *next* watermark
-  // (a timeout drained just after the barrier carries an earlier due
-  // time) — as long as they stay above the previous one.
+  sink.emit(EventKind::kDispatch, 0, 1.5);
+  // A timeout drained after a barrier carries its earlier due time: it is
+  // emitted last but belongs between the two.
   sink.emit(EventKind::kTimeout, -1, 1.2);
   sink.finish();
   ASSERT_EQ(sink.events().size(), 3u);
+  EXPECT_EQ(sink.events()[0].kind, EventKind::kAdmit);
   EXPECT_EQ(sink.events()[1].kind, EventKind::kTimeout);
-  EXPECT_EQ(sink.buffered(), 0u);
+  EXPECT_EQ(sink.events()[1].seq, 2u);
+  EXPECT_EQ(sink.events()[2].kind, EventKind::kDispatch);
+}
+
+TEST(TraceSink, RejectsChipsOutsideTheFleet) {
+  TraceSink sink;
+  sink.enable();
+  sink.begin_run(2);
+  EXPECT_THROW(sink.emit(EventKind::kDispatch, 2, 0.1), ModelError);
+  EXPECT_THROW(sink.emit(EventKind::kDispatch, -2, 0.1), ModelError);
+  EXPECT_NO_THROW(sink.emit(EventKind::kDispatch, 1, 0.1));
 }
 
 TEST(TraceSink, DisabledSinkRecordsNothing) {
@@ -82,7 +89,6 @@ TEST(TraceSink, DisabledSinkRecordsNothing) {
   sink.emit_now(EventKind::kDispatch, 0);
   sink.finish();
   EXPECT_TRUE(sink.events().empty());
-  EXPECT_EQ(sink.buffered(), 0u);
 }
 
 TEST(TraceSink, JsonlIsOneObjectPerEvent) {
@@ -178,7 +184,7 @@ Serialized run_with_telemetry(const dc::Scenario& s) {
   // worker keeps this the reference stream the thread-count sweep below
   // compares against.
   out.result = dc::run_scenario(
-      s, ghz(2.0), dc::RunOptions{.telemetry = &t, .threads = 1});
+      s, dc::RunOptions{.telemetry = &t, .threads = 1});
   std::ostringstream a, b, c, d;
   t.trace.write_jsonl(a);
   write_chrome_trace(b, t.trace, dc::trace_meta(s), &t.metrics);
@@ -193,9 +199,9 @@ Serialized run_with_telemetry(const dc::Scenario& s) {
 
 TEST(ObsDeterminism, TracesAreByteIdenticalAcrossThreadCounts) {
   // NTSERV_THREADS fans out only across independent runs; every emission
-  // and every barrier merge happens inside one run's single-threaded
-  // loop, so the serialized telemetry must be byte-identical whether the
-  // scenarios share a pool or not.
+  // happens on one run's coordinator thread and the trace is sorted once
+  // at the end, so the serialized telemetry must be byte-identical
+  // whether the scenarios share a pool or not.
   const std::vector<dc::Scenario> scenarios = {
       dc::Scenario::by_name("rack-loss-web"),
       dc::Scenario::by_name("thermal-emergency-mixed")};
@@ -227,7 +233,7 @@ TEST(ObsConservation, EveryAdmitIsDisposedExactlyOnce) {
   t.trace.enable();
   const dc::Scenario s = dc::Scenario::by_name("rack-loss-web");
   const auto result =
-      dc::run_scenario(s, ghz(2.0), dc::RunOptions{.telemetry = &t, .threads = 1});
+      dc::run_scenario(s, dc::RunOptions{.telemetry = &t, .threads = 1});
   std::uint64_t admits = 0, completes = 0, sheds = 0, brownout_sheds = 0, timeouts = 0;
   for (const auto& e : t.trace.events()) {
     switch (e.kind) {
@@ -281,9 +287,39 @@ TEST(ObsConservation, EveryRetryIsTraced) {
 
 TEST(ObsConservation, TelemetryDoesNotPerturbTheRun) {
   const dc::Scenario s = dc::Scenario::by_name("thermal-emergency-mixed");
-  const auto bare = dc::run_scenario(s, ghz(2.0));
+  const auto bare = dc::run_scenario(s);
   const auto traced = run_with_telemetry(s).result;
   EXPECT_TRUE(bare == traced);
+}
+
+TEST(ObsMetrics, OpenLoopRunWritesOneEndOfRunRow) {
+  // An ungoverned fleet has no epoch barrier, so its registry gets one
+  // row at the end of the run: epoch 0 at the span, power 0 (open-loop
+  // runs charge no governor energy).
+  dc::Scenario s = dc::Scenario::by_name("websearch-poisson-light");
+  ASSERT_EQ(s.governor.kind, ctrl::GovernorKind::kNone);
+  s.warm_instructions = 100'000;
+  s.tenants[0].requests = 40;
+  s.tenants[0].warmup_requests = 5;
+  Telemetry t;
+  t.metrics.enable();
+  const auto r = dc::run_scenario(s, dc::RunOptions{.telemetry = &t, .threads = 1});
+  ASSERT_EQ(t.metrics.rows(), 1u);
+  EXPECT_EQ(t.metrics.row_epoch(0), 0u);
+  EXPECT_EQ(t.metrics.row_time(0), r.span_seconds.value());
+  const auto names = t.metrics.column_names();
+  const auto column = [&](const std::string& name) {
+    for (std::size_t c = 0; c < names.size(); ++c) {
+      if (names[c] == name) return t.metrics.row(0)[c];
+    }
+    ADD_FAILURE() << "no metrics column " << name;
+    return -1.0;
+  };
+  EXPECT_EQ(column("fleet.completed"), static_cast<double>(r.completed_all));
+  EXPECT_EQ(column("fleet.latency_us.count"), static_cast<double>(r.completed));
+  EXPECT_GT(r.completed, 0u);
+  EXPECT_EQ(column("fleet.power_w"), 0.0);
+  EXPECT_EQ(column("chip0.power_w"), 0.0);
 }
 
 TEST(ObsChromeTrace, ExportIsWellFormedTraceEventJson) {
@@ -328,7 +364,7 @@ TEST(FleetResultRates, ZeroOfferedYieldsZeroRatesNotNaN) {
   dc::Scenario s = dc::Scenario::by_name("websearch-poisson-light");
   s.max_cycles = 1;
   s.warm_instructions = 0;
-  const auto r = dc::run_scenario(s, ghz(2.0));
+  const auto r = dc::run_scenario(s);
   EXPECT_EQ(r.offered, 0u);
   EXPECT_EQ(r.completed, 0u);
   EXPECT_TRUE(r.truncated);

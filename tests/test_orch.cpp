@@ -411,19 +411,19 @@ TEST(Router, IgnoresDownChipsInTheUtilizationAverage) {
 
 const dc::FleetResult& autoscaled_result() {
   static const dc::FleetResult r =
-      dc::run_scenario(dc::Scenario::by_name("autoscale-diurnal-web"), ghz(2.0));
+      dc::run_scenario(dc::Scenario::by_name("autoscale-diurnal-web"));
   return r;
 }
 
 const dc::FleetResult& capped_result() {
   static const dc::FleetResult r =
-      dc::run_scenario(dc::Scenario::by_name("powercap-web"), ghz(2.0));
+      dc::run_scenario(dc::Scenario::by_name("powercap-web"));
   return r;
 }
 
 const dc::FleetResult& routed_result() {
   static const dc::FleetResult r =
-      dc::run_scenario(dc::Scenario::by_name("multifleet-ntc-conv"), ghz(2.0));
+      dc::run_scenario(dc::Scenario::by_name("multifleet-ntc-conv"));
   return r;
 }
 
@@ -443,7 +443,7 @@ TEST(OrchFleet, AutoscalerParksAndRecoversLosslessly) {
 TEST(OrchFleet, DisabledOrchestrationLeavesCountersZero) {
   dc::Scenario s = dc::Scenario::by_name("autoscale-diurnal-web");
   s.orchestration.autoscaler.enabled = false;
-  const dc::FleetResult r = dc::run_scenario(s, ghz(2.0));
+  const dc::FleetResult r = dc::run_scenario(s);
   EXPECT_EQ(r.autoscale_parks, 0u);
   EXPECT_EQ(r.autoscale_unparks, 0u);
   EXPECT_DOUBLE_EQ(r.parked_seconds.value(), 0.0);
@@ -495,8 +495,8 @@ TEST(OrchFleet, OrchestratedRunsAreThreadCountInvariant) {
       dc::Scenario::by_name("powercap-web"),
       dc::Scenario::by_name("multifleet-ntc-conv"),
       dc::Scenario::by_name("thermal-emergency-mixed")};
-  const auto one = dc::run_scenarios(scenarios, ghz(2.0), 1);
-  const auto four = dc::run_scenarios(scenarios, ghz(2.0), 4);
+  const auto one = dc::run_scenarios(scenarios, 1);
+  const auto four = dc::run_scenarios(scenarios, 4);
   ASSERT_EQ(one.size(), four.size());
   for (std::size_t i = 0; i < one.size(); ++i) {
     EXPECT_TRUE(one[i] == four[i]) << "scenario " << scenarios[i].name;

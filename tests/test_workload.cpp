@@ -5,7 +5,6 @@
 #include "workload/bitbrains.hpp"
 #include "workload/profile.hpp"
 #include "workload/synthetic.hpp"
-#include "workload/trace.hpp"
 
 namespace ntserv::workload {
 namespace {
@@ -134,38 +133,6 @@ TEST(Workload, ValidationCatchesBadProfiles) {
   p.stack_fraction = 0.9;
   p.streaming_fraction = 0.2;
   EXPECT_THROW(p.validate(), ModelError);
-}
-
-// ---- Trace record/replay ----
-
-TEST(Trace, RecordAndReplayBitExact) {
-  SyntheticWorkload gen{WorkloadProfile::media_streaming(), 17};
-  const UopTrace trace = UopTrace::record(gen, 5000);
-  ASSERT_EQ(trace.size(), 5000u);
-  TraceReplaySource replay{trace};
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const auto op = replay.next();
-    EXPECT_EQ(op.pc, trace.at(i).pc);
-    EXPECT_EQ(op.mem_addr, trace.at(i).mem_addr);
-  }
-  // Wraps around.
-  EXPECT_EQ(replay.next().pc, trace.at(0).pc);
-  EXPECT_EQ(replay.wraps(), 1u);
-}
-
-TEST(Trace, RecordingSourcePassesThrough) {
-  SyntheticWorkload inner{WorkloadProfile::web_search(), 19};
-  SyntheticWorkload reference{WorkloadProfile::web_search(), 19};
-  RecordingSource rec{inner};
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(rec.next().pc, reference.next().pc);
-  }
-  EXPECT_EQ(rec.trace().size(), 1000u);
-}
-
-TEST(Trace, EmptyReplayThrows) {
-  UopTrace empty;
-  EXPECT_THROW(TraceReplaySource{empty}, ModelError);
 }
 
 // ---- Bitbrains population model ----
