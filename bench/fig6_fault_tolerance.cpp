@@ -79,17 +79,17 @@ std::map<int, ctrl::EpochRecord> final_epochs(const dc::FleetResult& r) {
 /// Analytic guardband recovery bound per error event: hold epochs plus the
 /// rate-limited relaxation back to zero margin.
 int guardband_bound(const ctrl::GovernorConfig& g) {
-  if (g.guardband_margin <= 0.0 || g.guardband_relax_step <= 0.0) return 0;
-  return g.guardband_hold_epochs +
-         static_cast<int>(std::ceil(g.guardband_margin / g.guardband_relax_step));
+  if (g.guardband_margin <= 0.0) return 0;
+  return ctrl::kGuardbandHoldEpochs +
+         static_cast<int>(std::ceil(g.guardband_margin / ctrl::kGuardbandRelaxStep));
 }
 
 void print_guardband(const dc::FleetResult& faulted, const dc::FleetResult& healthy,
                      const dc::Scenario& scenario) {
   std::cout << "Scenario " << scenario.name << " (" << scenario.description << "),\n"
             << "  guardband margin " << scenario.governor.guardband_margin << ", hold "
-            << scenario.governor.guardband_hold_epochs << " epochs, relax step "
-            << scenario.governor.guardband_relax_step << " per epoch (bound "
+            << ctrl::kGuardbandHoldEpochs << " epochs, relax step "
+            << ctrl::kGuardbandRelaxStep << " per epoch (bound "
             << guardband_bound(scenario.governor) << " epochs per error):\n";
   TextTable t({"run", "energy (mJ)", "gb epochs", "p99 (us)", "viol",
                "final margin", "final f (GHz)", "recovered", "ttr (us)"});

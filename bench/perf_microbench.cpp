@@ -37,7 +37,7 @@ void BM_DramRandomTraffic(benchmark::State& state) {
 BENCHMARK(BM_DramRandomTraffic);
 
 void BM_CacheArrayProbe(benchmark::State& state) {
-  cache::CacheArray cache{{4 * kMiB, 16, cache::ReplacementPolicy::kLru, 7, false}};
+  cache::CacheArray cache{{4 * kMiB, 16, false}};
   Xoshiro256StarStar rng{7};
   // Pre-populate.
   for (int i = 0; i < 100000; ++i) {

@@ -1,6 +1,6 @@
-// Registry digests: one line per registry scenario fingerprinting every
-// modelled output, so a change can prove it moved nothing (or name what
-// it moved).
+// Registry digests: one line per registry scenario and one per
+// cycle-level sweep point, fingerprinting every modelled output, so a
+// change can prove it moved nothing (or name what it moved).
 //
 // Each of dc::Scenario::registry()'s scenarios runs at 2 GHz on one
 // worker with the trace and metrics enabled, and prints
@@ -12,14 +12,28 @@
 // and `trace` and `metrics` are FNV-1a digests of the trace JSONL and
 // the metrics CSV. A field added to FleetResult, TenantResult,
 // ctrl::EpochRecord or orch::RouterEpoch must be added to result_fields()
-// below. The scenarios fan out over NTSERV_THREADS; the output does not
-// depend on it.
+// below.
+//
+// The sweep lines cover sim::ServerSimulator::evaluate, the path behind
+// fig1-fig4, the ablations and perfbench's uips-sweep: each profile of
+// the scale-out suite and of the VM suite on a 3-point 0.2-2.0 GHz grid
+// with bench_sim_config(), printed as
+//
+//   <profile>@<GHz> point=<fnv>
+//
+// where `point` is an FNV-1a over every OperatingPointResult field (the
+// sampling window's cache and DRAM counters included). A field added to
+// OperatingPointResult, SampleResult, ClusterMetrics, HierarchyStats,
+// DramSystemStats, ActivityVector or PowerBreakdown must be added to
+// point_fields() below. Scenarios and points fan out together over
+// NTSERV_THREADS; the output does not depend on it.
 //
 // tests/golden/registry_digests.txt holds the expected output, and CI
 // diffs a fresh run against it. A change that moves a modelled output
 // regenerates the file and says why:
 //
 //   ./build/bench/registry_digest > tests/golden/registry_digests.txt
+#include <cctype>
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
@@ -27,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "ntserv/ntserv.hpp"
 
 using namespace ntserv;
@@ -202,6 +217,83 @@ std::string result_fields(const dc::FleetResult& r) {
   return f.str();
 }
 
+void window_fields(Fields& f, const std::string& p, const sim::ClusterMetrics& m) {
+  f.add(p + "cycles", m.cycles);
+  f.add(p + "uipc", m.uipc);
+  f.add(p + "ipc", m.ipc);
+  f.add(p + "issue_utilization", m.issue_utilization);
+  const cache::HierarchyStats& h = m.memory;
+  f.add(p + "memory.l1i_hits", h.l1i_hits);
+  f.add(p + "memory.l1i_misses", h.l1i_misses);
+  f.add(p + "memory.l1d_hits", h.l1d_hits);
+  f.add(p + "memory.l1d_misses", h.l1d_misses);
+  f.add(p + "memory.merged_misses", h.merged_misses);
+  f.add(p + "memory.llc_hits", h.llc_hits);
+  f.add(p + "memory.llc_misses", h.llc_misses);
+  f.add(p + "memory.llc_writebacks", h.llc_writebacks);
+  f.add(p + "memory.l1_writebacks", h.l1_writebacks);
+  f.add(p + "memory.back_invalidations", h.back_invalidations);
+  f.add(p + "memory.owner_forwards", h.owner_forwards);
+  f.add(p + "memory.xbar_flits", h.xbar_flits);
+  f.add(p + "memory.rejected", h.rejected);
+  f.add(p + "memory.prefetches_issued", h.prefetches_issued);
+  const dram::DramSystemStats& d = m.dram;
+  f.add(p + "dram.reads", d.reads);
+  f.add(p + "dram.writes", d.writes);
+  f.add(p + "dram.read_bytes", d.read_bytes);
+  f.add(p + "dram.write_bytes", d.write_bytes);
+  f.add(p + "dram.row_hit_rate", d.row_hit_rate);
+  f.add(p + "dram.avg_read_latency_cycles", d.avg_read_latency_cycles);
+  f.add(p + "dram.refreshes", d.refreshes);
+  f.add(p + "dram.forwarded_reads", d.forwarded_reads);
+  f.add(p + "dram_cycles", m.dram_cycles);
+  f.add(p + "l1i_mpki", m.l1i_mpki);
+  f.add(p + "l1d_mpki", m.l1d_mpki);
+  f.add(p + "llc_mpki", m.llc_mpki);
+  f.add(p + "branch_mpki", m.branch_mpki);
+}
+
+/// Every OperatingPointResult field, in declaration order.
+std::string point_fields(const sim::OperatingPointResult& r) {
+  Fields f;
+  f.add("frequency", r.frequency.value());
+  f.add("vdd", r.vdd.value());
+  f.add("uips", r.uips);
+  f.add("uipc_cluster", r.uipc_cluster);
+  const power::ActivityVector& a = r.activity;
+  f.add("activity.core_activity", a.core_activity);
+  f.add("activity.llc_reads_per_s", a.llc_reads_per_s);
+  f.add("activity.llc_writes_per_s", a.llc_writes_per_s);
+  f.add("activity.llc_probes_per_s", a.llc_probes_per_s);
+  f.add("activity.xbar_flits_per_s", a.xbar_flits_per_s);
+  f.add("activity.dram_read_bw", a.dram_read_bw);
+  f.add("activity.dram_write_bw", a.dram_write_bw);
+  const power::PowerBreakdown& w = r.power;
+  f.add("power.core_dynamic", w.core_dynamic.value());
+  f.add("power.core_leakage", w.core_leakage.value());
+  f.add("power.llc", w.llc.value());
+  f.add("power.interconnect", w.interconnect.value());
+  f.add("power.io", w.io.value());
+  f.add("power.dram_background", w.dram_background.value());
+  f.add("power.dram_dynamic", w.dram_dynamic.value());
+  f.add("eff_cores", r.eff_cores);
+  f.add("eff_soc", r.eff_soc);
+  f.add("eff_server", r.eff_server);
+  const sim::SampleResult& s = r.sampling;
+  f.add("sampling.uipc_mean", s.uipc_mean);
+  f.add("sampling.uipc_rel_error", s.uipc_rel_error);
+  f.add("sampling.samples", s.samples);
+  f.add("sampling.converged", s.converged);
+  window_fields(f, "sampling.last_window.", s.last_window);
+  f.add("sampling.per_sample.count", s.per_sample.count());
+  f.add("sampling.per_sample.mean", s.per_sample.mean());
+  f.add("sampling.per_sample.variance", s.per_sample.variance());
+  f.add("sampling.per_sample.min", s.per_sample.min());
+  f.add("sampling.per_sample.max", s.per_sample.max());
+  window_fields(f, "window.", r.window);
+  return f.str();
+}
+
 std::string hex16(std::uint64_t v) {
   std::ostringstream os;
   os << std::hex << std::setw(16) << std::setfill('0') << v;
@@ -221,16 +313,52 @@ std::string digest_line(const dc::Scenario& s) {
          " trace=" + hex16(fnv1a(trace.str())) + " metrics=" + hex16(fnv1a(metrics.str()));
 }
 
+/// "Data Serving" -> "data-serving".
+std::string slug(const std::string& name) {
+  std::string out;
+  for (const unsigned char c : name) {
+    out += c == ' ' ? '-' : static_cast<char>(std::tolower(c));
+  }
+  return out;
+}
+
+std::string point_line(const sim::ServerSimulator& simulator, Hertz f) {
+  std::ostringstream ghz;
+  ghz << std::fixed << std::setprecision(1) << in_ghz(f);
+  return slug(simulator.profile().name) + "@" + ghz.str() +
+         " point=" + hex16(fnv1a(point_fields(simulator.evaluate(f))));
+}
+
 }  // namespace
 
 int main() {
   const std::vector<dc::Scenario> registry = dc::Scenario::registry();
-  std::vector<std::string> lines(registry.size());
-  sim::parallel_for_index(/*threads=*/0, registry.size(),
-                          [&](std::size_t i) { lines[i] = digest_line(registry[i]); });
+  std::vector<workload::WorkloadProfile> profiles = workload::WorkloadProfile::scale_out_suite();
+  for (auto& p : workload::WorkloadProfile::vm_suite()) profiles.push_back(std::move(p));
+  std::vector<sim::ServerSimulator> simulators;
+  for (const auto& p : profiles) {
+    simulators.emplace_back(p, bench::default_platform(), bench::bench_sim_config());
+  }
+  const std::vector<Hertz> grid = bench::paper_frequency_grid(3);
+
+  const std::size_t points = simulators.size() * grid.size();
+  std::vector<std::string> lines(registry.size() + points);
+  sim::parallel_for_index(/*threads=*/0, lines.size(), [&](std::size_t i) {
+    if (i < registry.size()) {
+      lines[i] = digest_line(registry[i]);
+    } else {
+      const std::size_t k = i - registry.size();
+      lines[i] = point_line(simulators[k / grid.size()], grid[k % grid.size()]);
+    }
+  });
   std::cout << "# " << registry.size()
             << " registry scenarios at 2 GHz, 1 worker: FNV-1a of every FleetResult "
                "field, the trace JSONL and the metrics CSV (bench/registry_digest.cpp)\n";
-  for (const std::string& line : lines) std::cout << line << '\n';
+  for (std::size_t i = 0; i < registry.size(); ++i) std::cout << lines[i] << '\n';
+  std::cout << "# " << points << " ServerSimulator::evaluate points (" << profiles.size()
+            << " profiles x " << grid.size()
+            << " frequencies, bench_sim_config()): FNV-1a of every OperatingPointResult "
+               "field\n";
+  for (std::size_t i = registry.size(); i < lines.size(); ++i) std::cout << lines[i] << '\n';
   return 0;
 }

@@ -89,9 +89,9 @@ int main() {
   std::cout << "\nGuardband governor (" << gb.name << "):\n"
             << "  error events: " << faulted.faults_injected
             << ", guardband chip-epochs: " << faulted.guardband_epochs
-            << " (bound: hold " << gb.governor.guardband_hold_epochs
+            << " (bound: hold " << ctrl::kGuardbandHoldEpochs
             << " + margin " << gb.governor.guardband_margin << " / step "
-            << gb.governor.guardband_relax_step << " per chip)\n"
+            << ctrl::kGuardbandRelaxStep << " per chip)\n"
             << "  energy: " << faulted.energy.value() * 1e3 << " mJ vs "
             << clean.energy.value() * 1e3 << " mJ healthy (overhead "
             << (faulted.energy.value() - clean.energy.value()) * 1e3 << " mJ)\n"

@@ -8,8 +8,7 @@ constexpr bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
 CacheArray::CacheArray(CacheArrayParams params)
     : params_(params),
-      sets_(params.size_bytes / kCacheLineBytes / static_cast<std::uint64_t>(params.associativity)),
-      rng_(params.seed) {
+      sets_(params.size_bytes / kCacheLineBytes / static_cast<std::uint64_t>(params.associativity)) {
   NTSERV_EXPECTS(params_.associativity > 0, "associativity must be positive");
   NTSERV_EXPECTS(params_.size_bytes % (kCacheLineBytes * static_cast<std::uint64_t>(
                                            params_.associativity)) == 0,
@@ -30,19 +29,16 @@ std::optional<CacheArray::WayRef> CacheArray::probe(Addr line_addr, bool touch) 
     Line& l = lines_[set * static_cast<std::size_t>(params_.associativity) +
                      static_cast<std::size_t>(w)];
     if (l.valid && l.tag == base) {
-      if (touch) {
-        l.lru_stamp = ++tick_;
-        l.rrpv = 0;
-      }
+      if (touch) l.lru_stamp = ++tick_;
       return WayRef{set, w};
     }
   }
   return std::nullopt;
 }
 
-int CacheArray::pick_victim(std::size_t set) {
-  Line* base = &lines_[set * static_cast<std::size_t>(params_.associativity)];
-  // Invalid way first, for every policy.
+int CacheArray::pick_victim(std::size_t set) const {
+  const Line* base = &lines_[set * static_cast<std::size_t>(params_.associativity)];
+  // Invalid way first.
   for (int w = 0; w < params_.associativity; ++w) {
     if (!base[w].valid) return w;
   }
@@ -55,28 +51,11 @@ int CacheArray::pick_victim(std::size_t set) {
     }
     if (victim >= 0) return victim;
   }
-  switch (params_.replacement) {
-    case ReplacementPolicy::kLru: {
-      int victim = 0;
-      for (int w = 1; w < params_.associativity; ++w) {
-        if (base[w].lru_stamp < base[victim].lru_stamp) victim = w;
-      }
-      return victim;
-    }
-    case ReplacementPolicy::kRandom:
-      return static_cast<int>(rng_.uniform_below(
-          static_cast<std::uint64_t>(params_.associativity)));
-    case ReplacementPolicy::kSrrip: {
-      // Find an RRPV==3 line, aging the set until one appears.
-      for (;;) {
-        for (int w = 0; w < params_.associativity; ++w) {
-          if (base[w].rrpv >= 3) return w;
-        }
-        for (int w = 0; w < params_.associativity; ++w) ++base[w].rrpv;
-      }
-    }
+  int victim = 0;
+  for (int w = 1; w < params_.associativity; ++w) {
+    if (base[w].lru_stamp < base[victim].lru_stamp) victim = w;
   }
-  return 0;
+  return victim;
 }
 
 CacheArray::Eviction CacheArray::insert(Addr line_addr, bool dirty, std::uint32_t meta) {
@@ -99,7 +78,6 @@ CacheArray::Eviction CacheArray::insert(Addr line_addr, bool dirty, std::uint32_
   l.dirty = dirty;
   l.tag = base_addr;
   l.lru_stamp = ++tick_;
-  l.rrpv = 2;  // SRRIP long re-reference insertion
   l.meta = meta;
   return ev;
 }

@@ -1,7 +1,7 @@
-// Set-associative tag store with pluggable replacement.
+// Set-associative tag store with LRU replacement.
 //
 // Used for the 32KB 2-way L1I/L1D and the 4MB 16-way LLC (paper Sec. IV).
-// The array tracks validity, dirtiness, replacement state and an opaque
+// The array tracks validity, dirtiness, an LRU stamp and an opaque
 // 32-bit `meta` word per line that the LLC uses for its MESI directory
 // entry (sharer bitmask / owner / state).
 #pragma once
@@ -11,24 +11,18 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "common/units.hpp"
 
 namespace ntserv::cache {
 
-enum class ReplacementPolicy { kLru, kRandom, kSrrip };
-
 struct CacheArrayParams {
   std::uint64_t size_bytes = 32 * kKiB;
   int associativity = 2;
-  ReplacementPolicy replacement = ReplacementPolicy::kLru;
-  /// Seed for the random policy's tie-breaking stream.
-  std::uint64_t seed = 1;
   /// Directory-aware victim selection (inclusive LLCs): prefer victims
   /// whose meta word is zero — i.e. lines with no L1 copies — to avoid
-  /// back-invalidating hot L1-resident lines. Falls back to the base
-  /// policy when every candidate has non-zero meta.
+  /// back-invalidating hot L1-resident lines. Falls back to plain LRU
+  /// when every candidate has non-zero meta.
   bool protect_nonzero_meta = false;
 };
 
@@ -45,7 +39,7 @@ class CacheArray {
     int way;
   };
 
-  /// Look up a line; `touch` updates replacement state on hit.
+  /// Look up a line; `touch` makes it most recently used on a hit.
   [[nodiscard]] std::optional<WayRef> probe(Addr line_addr, bool touch = true);
 
   struct Eviction {
@@ -77,18 +71,16 @@ class CacheArray {
     bool dirty = false;
     Addr tag = 0;  ///< full line address (simpler and equivalent to tag)
     std::uint64_t lru_stamp = 0;
-    std::uint8_t rrpv = 3;  ///< SRRIP re-reference prediction value
     std::uint32_t meta = 0;
   };
 
   [[nodiscard]] std::size_t set_index(Addr line_addr) const;
-  int pick_victim(std::size_t set);
+  [[nodiscard]] int pick_victim(std::size_t set) const;
 
   CacheArrayParams params_;
   std::size_t sets_;
   std::vector<Line> lines_;  ///< sets_ x associativity, row-major
   std::uint64_t tick_ = 0;   ///< LRU timestamp source
-  Xoshiro256StarStar rng_;
 };
 
 }  // namespace ntserv::cache

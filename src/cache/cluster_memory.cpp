@@ -32,12 +32,8 @@ ClusterMemorySystem::ClusterMemorySystem(HierarchyParams params,
                  "directory bitmask supports 1..8 cores per cluster");
   NTSERV_EXPECTS(params_.llc_banks > 0, "LLC needs at least one bank");
   for (int c = 0; c < params_.cores; ++c) {
-    CacheArrayParams pi = params_.l1i;
-    CacheArrayParams pd = params_.l1d;
-    pi.seed += static_cast<std::uint64_t>(c) * 101;
-    pd.seed += static_cast<std::uint64_t>(c) * 103;
-    l1i_.emplace_back(pi);
-    l1d_.emplace_back(pd);
+    l1i_.emplace_back(params_.l1i);
+    l1d_.emplace_back(params_.l1d);
   }
   bank_free_.assign(static_cast<std::size_t>(params_.llc_banks), 0);
   last_dmiss_line_.assign(static_cast<std::size_t>(params_.cores), ~0ull);

@@ -33,11 +33,11 @@ enum class AccessType { kIFetch, kLoad, kStore };
 
 struct HierarchyParams {
   int cores = 4;
-  CacheArrayParams l1i{32 * kKiB, 2, ReplacementPolicy::kLru, 11, false};
-  CacheArrayParams l1d{32 * kKiB, 2, ReplacementPolicy::kLru, 13, false};
+  CacheArrayParams l1i{32 * kKiB, 2, false};
+  CacheArrayParams l1d{32 * kKiB, 2, false};
   /// Inclusive LLC with directory-aware victim selection (see
   /// CacheArrayParams::protect_nonzero_meta).
-  CacheArrayParams llc{4 * kMiB, 16, ReplacementPolicy::kLru, 17, true};
+  CacheArrayParams llc{4 * kMiB, 16, true};
   int llc_banks = 4;
 
   /// L1 hit latency (load-to-use), core cycles.

@@ -71,6 +71,16 @@ class RunningStats {
   double max_ = 0.0;
 };
 
+/// Nearest-rank quantile of an ascending-sorted, non-empty sample: the
+/// value at rank ceil(q * n), clamped to [1, n] (the convention used for
+/// "99th-percentile latency" in tail-latency literature).
+[[nodiscard]] inline double nearest_rank(const std::vector<double>& sorted, double q) {
+  NTSERV_EXPECTS(!sorted.empty(), "percentile of empty population");
+  const std::size_t n = sorted.size();
+  const auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
+  return sorted[std::clamp<std::size_t>(rank, 1, n) - 1];
+}
+
 /// Exact percentile tracker over a bounded population.
 ///
 /// Latency distributions in the QoS model are small (one sample per request
@@ -80,18 +90,12 @@ class PercentileTracker {
   void add(double x) { values_.push_back(x); sorted_ = false; }
   [[nodiscard]] std::size_t count() const { return values_.size(); }
 
-  /// p in [0, 100]; nearest-rank percentile (the convention used for
-  /// "99th-percentile latency" in tail-latency literature).
+  /// p in [0, 100]; nearest-rank percentile.
   [[nodiscard]] double percentile(double p) const {
     NTSERV_EXPECTS(!values_.empty(), "percentile of empty population");
     NTSERV_EXPECTS(p >= 0.0 && p <= 100.0, "percentile must be in [0,100]");
     ensure_sorted();
-    if (p <= 0.0) return values_.front();
-    const auto n = values_.size();
-    auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * static_cast<double>(n)));
-    if (rank == 0) rank = 1;
-    if (rank > n) rank = n;
-    return values_[rank - 1];
+    return nearest_rank(values_, p / 100.0);
   }
 
   [[nodiscard]] double mean() const {
@@ -112,41 +116,6 @@ class PercentileTracker {
   }
   mutable std::vector<double> values_;
   mutable bool sorted_ = false;
-};
-
-/// Histogram with fixed-width bins over [lo, hi); overflow/underflow tracked.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi), counts_(bins, 0) {
-    NTSERV_EXPECTS(hi > lo, "histogram range must be non-empty");
-    NTSERV_EXPECTS(bins > 0, "histogram needs at least one bin");
-  }
-
-  void add(double x) {
-    ++total_;
-    if (x < lo_) { ++underflow_; return; }
-    if (x >= hi_) { ++overflow_; return; }
-    const auto b = static_cast<std::size_t>((x - lo_) / (hi_ - lo_)
-                                            * static_cast<double>(counts_.size()));
-    ++counts_[std::min(b, counts_.size() - 1)];
-  }
-
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] double bin_low(std::size_t i) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-  }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
 };
 
 }  // namespace ntserv

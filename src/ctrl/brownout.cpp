@@ -17,13 +17,6 @@ const char* to_string(BrownoutStage s) {
 
 void BrownoutConfig::validate() const {
   if (!enabled) return;
-  NTSERV_EXPECTS(enter_pressure > 0.0, "brownout enter pressure must be positive");
-  NTSERV_EXPECTS(exit_pressure > 0.0 && exit_pressure < enter_pressure,
-                 "brownout exit pressure must be in (0, enter_pressure) — the "
-                 "gap is the hysteresis band");
-  NTSERV_EXPECTS(recover_epochs >= 1, "brownout recovery needs at least one epoch");
-  NTSERV_EXPECTS(batch_timeout_relax >= 1.0,
-                 "batch timeout relaxation cannot tighten the timeout");
   NTSERV_EXPECTS(max_stage != BrownoutStage::kNormal,
                  "a brownout ladder clamped to normal cannot act; disable it");
 }
@@ -32,20 +25,34 @@ BrownoutController::BrownoutController(BrownoutConfig config) : config_(config) 
   config_.validate();
 }
 
+namespace {
+/// Queue pressure (fleet outstanding per serving core) at or above which
+/// the ladder escalates one stage per epoch.
+constexpr double kEnterPressure = 2.0;
+/// Pressure below which an epoch counts toward recovery. Sits under
+/// kEnterPressure: the gap is the hysteresis band where the ladder holds
+/// its stage.
+constexpr double kExitPressure = 0.75;
+/// Consecutive calm epochs (pressure < kExitPressure) before the ladder
+/// steps *down* one stage — re-entry hysteresis, so restored capacity is
+/// proven before restrictions lift.
+constexpr int kRecoverEpochs = 3;
+}  // namespace
+
 BrownoutStage BrownoutController::observe(double pressure) {
   const BrownoutStage before = stage_;
-  if (pressure >= config_.enter_pressure) {
+  if (pressure >= kEnterPressure) {
     // Overloaded: escalate one rung per barrier up to the clamp.
     calm_epochs_ = 0;
     if (stage_ < config_.max_stage) {
       stage_ = static_cast<BrownoutStage>(static_cast<int>(stage_) + 1);
     }
-  } else if (pressure < config_.exit_pressure) {
-    // Calm: step down one rung only after recover_epochs consecutive
+  } else if (pressure < kExitPressure) {
+    // Calm: step down one rung only after kRecoverEpochs consecutive
     // calm barriers — restrictions lift slower than they engage.
     if (stage_ == BrownoutStage::kNormal) {
       calm_epochs_ = 0;
-    } else if (++calm_epochs_ >= config_.recover_epochs) {
+    } else if (++calm_epochs_ >= kRecoverEpochs) {
       calm_epochs_ = 0;
       stage_ = static_cast<BrownoutStage>(static_cast<int>(stage_) - 1);
     }
@@ -69,19 +76,18 @@ const char* to_string(BreakerState s) {
   return "unknown";
 }
 
-void BreakerConfig::validate() const {
-  if (!enabled) return;
-  NTSERV_EXPECTS(trip_rate > 0.0 && trip_rate <= 1.0,
-                 "breaker trip rate must be in (0,1]");
-  NTSERV_EXPECTS(min_samples >= 1, "breaker needs at least one sample to judge");
-  NTSERV_EXPECTS(open_epochs >= 1, "breaker must dwell open at least one epoch");
-  NTSERV_EXPECTS(probe_successes >= 1,
-                 "half-open needs at least one success to close");
-}
-
-CircuitBreaker::CircuitBreaker(BreakerConfig config) : config_(config) {
-  config_.validate();
-}
+namespace {
+/// Trip when (timeouts + errors) / dispatches over the last epoch reaches
+/// this rate...
+constexpr double kTripRate = 0.5;
+/// ...but never on fewer than this many dispatches (thin evidence).
+constexpr std::uint64_t kMinSamples = 8;
+/// Epochs spent open before the half-open probe begins.
+constexpr int kOpenEpochs = 2;
+/// Completions needed in half-open to close again; any timeout/error in
+/// half-open reopens immediately.
+constexpr int kProbeSuccesses = 4;
+}  // namespace
 
 void CircuitBreaker::open() {
   state_ = BreakerState::kOpen;
@@ -102,7 +108,7 @@ void CircuitBreaker::record_failure() {
 }
 
 void CircuitBreaker::record_success() {
-  if (state_ == BreakerState::kHalfOpen && ++probe_wins_ >= config_.probe_successes) {
+  if (state_ == BreakerState::kHalfOpen && ++probe_wins_ >= kProbeSuccesses) {
     state_ = BreakerState::kClosed;
     probe_wins_ = 0;
     if (trace_ != nullptr) {
@@ -113,13 +119,13 @@ void CircuitBreaker::record_success() {
 
 void CircuitBreaker::close_epoch() {
   if (state_ == BreakerState::kClosed) {
-    if (window_dispatches_ >= static_cast<std::uint64_t>(config_.min_samples) &&
+    if (window_dispatches_ >= kMinSamples &&
         static_cast<double>(window_failures_) >=
-            config_.trip_rate * static_cast<double>(window_dispatches_)) {
+            kTripRate * static_cast<double>(window_dispatches_)) {
       open();
     }
   } else if (state_ == BreakerState::kOpen) {
-    if (++open_dwell_ >= config_.open_epochs) {
+    if (++open_dwell_ >= kOpenEpochs) {
       state_ = BreakerState::kHalfOpen;
       probe_wins_ = 0;
       if (trace_ != nullptr) {

@@ -48,22 +48,12 @@ enum class BrownoutStage {
 /// One stage count per ladder rung (kNormal..kCriticalOnly).
 inline constexpr int kBrownoutStages = 4;
 
+/// Relaxed-QoS factor: at kRelaxBatchQos and above, batch per-attempt
+/// timeouts stretch by this multiple (fewer abandon/retry storms).
+inline constexpr double kBatchTimeoutRelax = 4.0;
+
 struct BrownoutConfig {
   bool enabled = false;
-  /// Queue pressure (fleet outstanding per serving core) at or above
-  /// which the ladder escalates one stage per epoch.
-  double enter_pressure = 2.0;
-  /// Pressure below which an epoch counts toward recovery. Must sit
-  /// under enter_pressure: the gap is the hysteresis band where the
-  /// ladder holds its stage.
-  double exit_pressure = 0.75;
-  /// Consecutive calm epochs (pressure < exit_pressure) before the
-  /// ladder steps *down* one stage — re-entry hysteresis, so restored
-  /// capacity is proven before restrictions lift.
-  int recover_epochs = 3;
-  /// Relaxed-QoS factor: at kRelaxBatchQos and above, batch per-attempt
-  /// timeouts stretch by this multiple (fewer abandon/retry storms).
-  double batch_timeout_relax = 4.0;
   /// Ceiling for the ladder (dse brownout arms: a shed-only arm clamps
   /// here at kShedBatch).
   BrownoutStage max_stage = BrownoutStage::kCriticalOnly;
@@ -109,18 +99,6 @@ enum class BreakerState {
 
 struct BreakerConfig {
   bool enabled = false;
-  /// Trip when (timeouts + errors) / dispatches over the last epoch
-  /// reaches this rate...
-  double trip_rate = 0.5;
-  /// ...but never on fewer than this many dispatches (thin evidence).
-  int min_samples = 8;
-  /// Epochs spent open before the half-open probe begins.
-  int open_epochs = 2;
-  /// Completions needed in half-open to close again; any timeout/error
-  /// in half-open reopens immediately.
-  int probe_successes = 4;
-
-  void validate() const;
 };
 
 /// One chip's breaker. Dispatch outcomes stream in between barriers
@@ -129,8 +107,6 @@ struct BreakerConfig {
 /// in-loop events themselves.
 class CircuitBreaker {
  public:
-  explicit CircuitBreaker(BreakerConfig config);
-
   [[nodiscard]] BreakerState state() const { return state_; }
   [[nodiscard]] bool allow_dispatch() const { return state_ != BreakerState::kOpen; }
   /// Open transitions since construction (trips + reopened probes).
@@ -159,7 +135,6 @@ class CircuitBreaker {
 
   obs::TraceSink* trace_ = nullptr;
   int chip_ = -1;
-  BreakerConfig config_;
   BreakerState state_ = BreakerState::kClosed;
   std::uint64_t window_dispatches_ = 0;
   std::uint64_t window_failures_ = 0;

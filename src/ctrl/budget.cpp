@@ -10,7 +10,6 @@ namespace ntserv::ctrl {
 const char* to_string(BudgetKind k) {
   switch (k) {
     case BudgetKind::kFixed: return "fixed";
-    case BudgetKind::kUniform: return "uniform";
     case BudgetKind::kLognormal: return "lognormal";
   }
   return "unknown";
@@ -21,13 +20,9 @@ void BudgetConfig::validate() const {
                            "unresolved inherit sentinel)");
   // Only the selected distribution's parameters are constrained: a fixed
   // budget with an explicitly zeroed sigma is a valid configuration.
-  if (kind == BudgetKind::kUniform) {
-    NTSERV_EXPECTS(spread >= 0.0 && spread < 1.0, "uniform spread must be in [0,1)");
-  }
   if (kind == BudgetKind::kLognormal) {
     NTSERV_EXPECTS(sigma > 0.0, "lognormal sigma must be positive");
   }
-  NTSERV_EXPECTS(min_instructions > 0, "budget floor must be positive");
 }
 
 BudgetSampler::BudgetSampler(BudgetConfig config, std::uint64_t seed)
@@ -38,24 +33,15 @@ BudgetSampler::BudgetSampler(BudgetConfig config, std::uint64_t seed)
 }
 
 std::uint64_t BudgetSampler::sample(std::uint64_t id) const {
-  const double m = static_cast<double>(config_.mean);
-  double value = m;
-  switch (config_.kind) {
-    case BudgetKind::kFixed:
-      return std::max(config_.mean, config_.min_instructions);
-    case BudgetKind::kUniform: {
-      Xoshiro256StarStar rng{derive_seed(seed_, id)};
-      value = m * rng.uniform(1.0 - config_.spread, 1.0 + config_.spread);
-      break;
-    }
-    case BudgetKind::kLognormal: {
-      Xoshiro256StarStar rng{derive_seed(seed_, id)};
-      value = rng.lognormal(lognormal_mu_, config_.sigma);
-      break;
-    }
-  }
+  // Floor applied after sampling: a request must make observable commit
+  // progress, and the fleet's completion interpolation needs a budget
+  // that spans at least a few instructions.
+  constexpr std::uint64_t kMinInstructions = 64;
+  if (config_.kind == BudgetKind::kFixed) return std::max(config_.mean, kMinInstructions);
+  Xoshiro256StarStar rng{derive_seed(seed_, id)};
+  const double value = rng.lognormal(lognormal_mu_, config_.sigma);
   const auto rounded = static_cast<std::uint64_t>(std::llround(value));
-  return std::max(rounded, config_.min_instructions);
+  return std::max(rounded, kMinInstructions);
 }
 
 }  // namespace ntserv::ctrl

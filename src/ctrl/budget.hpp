@@ -6,10 +6,10 @@
 // are not constant — key-value reads mix with range scans, cache hits with
 // misses — so the closed-loop runtime control experiments need budget
 // *distributions*: the tail of the service-time distribution is what the
-// governors' p99 feedback actually reacts to. Three families cover the
-// space: fixed (the paper's invariant, the cross-check anchor), uniform
-// (bounded dispersion) and lognormal (the heavy-ish tail measured for
-// request service times in production serving systems).
+// governors' p99 feedback actually reacts to. Two families cover the
+// space: fixed (the paper's invariant, the cross-check anchor) and
+// lognormal (the heavy-ish tail measured for request service times in
+// production serving systems).
 //
 // Sampling is a pure function of (config, seed, request id): every request
 // id gets its own derive_seed-derived stream, so budgets are identical
@@ -25,7 +25,6 @@ namespace ntserv::ctrl {
 
 enum class BudgetKind {
   kFixed,      ///< every request costs exactly `mean` instructions
-  kUniform,    ///< uniform on [mean*(1-spread), mean*(1+spread)]
   kLognormal,  ///< lognormal with E[X] = mean and shape `sigma`
 };
 
@@ -36,15 +35,9 @@ struct BudgetConfig {
   /// Mean instruction budget. 0 means "inherit the tenant's
   /// user_instructions_per_request" (dc::TenantSpec::resolved_budget).
   std::uint64_t mean = 0;
-  /// Uniform half-width as a fraction of the mean, in [0, 1).
-  double spread = 0.5;
   /// Sigma of the underlying normal for kLognormal; mu is set to
   /// log(mean) - sigma^2/2 so the distribution's expectation is `mean`.
   double sigma = 0.5;
-  /// Floor applied after sampling: a request must make observable commit
-  /// progress, and the fleet's completion interpolation needs a budget
-  /// that spans at least a few instructions.
-  std::uint64_t min_instructions = 64;
 
   void validate() const;
 };

@@ -22,23 +22,10 @@ const char* to_string(GovernorKind k) {
 
 void GovernorConfig::validate() const {
   NTSERV_EXPECTS(epoch_quanta > 0, "epoch must span at least one quantum");
-  NTSERV_EXPECTS(headroom >= 1.0, "ondemand headroom must be >= 1");
-  NTSERV_EXPECTS(up_threshold > 0.0 && up_threshold <= 1.0,
-                 "ondemand up-threshold must be in (0,1]");
-  NTSERV_EXPECTS(down_steps >= 1, "ondemand must be able to descend");
-  NTSERV_EXPECTS(boost_fraction > 0.0 && boost_fraction <= 1.0,
-                 "boost fraction must be in (0,1]");
-  NTSERV_EXPECTS(release_fraction > 0.0 && release_fraction < boost_fraction,
-                 "release fraction must be in (0, boost_fraction)");
-  NTSERV_EXPECTS(core_activity > 0.0 && core_activity <= 1.0,
-                 "core activity must be in (0,1]");
   NTSERV_EXPECTS(curve.empty() || curve.size() >= 2,
                  "a supplied UIPS curve needs at least two points");
   NTSERV_EXPECTS(guardband_margin >= 0.0 && guardband_margin <= 0.5,
                  "guardband margin must be in [0, 0.5]");
-  NTSERV_EXPECTS(guardband_hold_epochs >= 0, "guardband hold must be non-negative");
-  NTSERV_EXPECTS(guardband_margin == 0.0 || guardband_relax_step > 0.0,
-                 "a nonzero guardband needs a positive relax step to recover");
   if (kind == GovernorKind::kNtcBoost) {
     // The boost path forward-biases an FD-SOI flip-well; bulk has no
     // body-bias terminal worth the name (paper Sec. II-A).
@@ -47,12 +34,6 @@ void GovernorConfig::validate() const {
     NTSERV_EXPECTS(qos_p99_limit.value() > 0.0,
                    "kNtcBoost needs a positive qos_p99_limit (anchor one via "
                    "qos::sim_qos_limit)");
-    NTSERV_EXPECTS(boost_utilization > 0.0 && boost_utilization <= 1.0,
-                   "boost utilization trigger must be in (0,1]");
-    NTSERV_EXPECTS(release_utilization > 0.0 && release_utilization < boost_utilization,
-                   "release utilization must be in (0, boost_utilization)");
-    NTSERV_EXPECTS(ntc_min_capacity > 0.0 && ntc_min_capacity <= 1.0,
-                   "NTC provisioning floor must be in (0,1]");
   }
 }
 
@@ -74,8 +55,7 @@ pm::PowerManager make_power_manager(const GovernorConfig& config) {
   const power::ServerPowerModel platform{tech::TechnologyModel{config.tech},
                                          power::ChipConfig{}};
   return pm::PowerManager{platform,
-                          config.curve.empty() ? default_uips_curve() : config.curve,
-                          config.core_activity};
+                          config.curve.empty() ? default_uips_curve() : config.curve};
 }
 
 Joule FleetGovernor::epoch_energy(const pm::PowerManager& manager, Hertz f, double duty,
@@ -83,17 +63,15 @@ Joule FleetGovernor::epoch_energy(const pm::PowerManager& manager, Hertz f, doub
   return manager.energy_for_duty(margined_frequency(manager, f), duty, duration);
 }
 
-void FleetGovernor::configure_guardband(double margin, int hold_epochs, double relax_step) {
+void FleetGovernor::configure_guardband(double margin) {
   NTSERV_EXPECTS(margin >= 0.0, "guardband margin must be non-negative");
   guard_margin_ = margin;
-  guard_hold_ = hold_epochs;
-  guard_step_ = relax_step;
 }
 
 void FleetGovernor::on_error() {
   if (guard_margin_ <= 0.0) return;
   margin_ = guard_margin_;
-  hold_left_ = guard_hold_;
+  hold_left_ = kGuardbandHoldEpochs;
 }
 
 void FleetGovernor::relax_guardband() {
@@ -102,7 +80,7 @@ void FleetGovernor::relax_guardband() {
     --hold_left_;
     return;
   }
-  margin_ = std::max(0.0, margin_ - guard_step_);
+  margin_ = std::max(0.0, margin_ - kGuardbandRelaxStep);
 }
 
 Hertz FleetGovernor::margined_frequency(const pm::PowerManager& manager, Hertz f) const {
@@ -142,9 +120,7 @@ class FixedMaxGovernor final : public FleetGovernor {
 
 class OndemandGovernor final : public FleetGovernor {
  public:
-  OndemandGovernor(const GovernorConfig& config, const pm::PowerManager& manager)
-      : manager_(manager), headroom_(config.headroom),
-        up_threshold_(config.up_threshold), down_steps_(config.down_steps) {}
+  explicit OndemandGovernor(const pm::PowerManager& manager) : manager_(manager) {}
 
   [[nodiscard]] GovernorKind kind() const override { return GovernorKind::kOndemandDvfs; }
 
@@ -173,24 +149,34 @@ class OndemandGovernor final : public FleetGovernor {
   [[nodiscard]] bool sleeps_when_idle() const override { return false; }
 
  private:
+  /// Capacity margin: chosen capacity >= kHeadroom * measured demand, so
+  /// utilization settles near 1/kHeadroom.
+  static constexpr double kHeadroom = 1.4;
+  /// An epoch whose utilization reaches this jumps straight to the top
+  /// frequency (the kernel governor's rule — measured demand saturates at
+  /// capacity, so proportional scaling cannot climb out of an overload).
+  static constexpr double kUpThreshold = 0.85;
+  /// Down-rate limit: at most this many curve grid steps down per epoch
+  /// (fast up, gradual down — one cold epoch must not drop the fleet to
+  /// the bottom of the grid).
+  static constexpr std::size_t kDownSteps = 2;
+
   [[nodiscard]] Hertz target_for(const EpochObservation& obs) const {
     // A saturated epoch jumps straight to the top: measured demand
     // saturates at the current capacity, so proportional scaling would
     // climb out of an overload one grid step per epoch.
-    if (obs.utilization >= up_threshold_) return manager_.curve().back().frequency;
+    if (obs.utilization >= kUpThreshold) return manager_.curve().back().frequency;
     // Measured demand in curve units: the epoch's busy fraction times the
     // throughput the fleet could have delivered at the epoch's frequency.
     const double demand = obs.utilization * manager_.uips_at(obs.frequency);
-    const Hertz target = manager_.grid_frequency_for_uips(headroom_ * demand);
-    // Fast up, gradual down: never descend more than down_steps grid
+    const Hertz target = manager_.grid_frequency_for_uips(kHeadroom * demand);
+    // Fast up, gradual down: never descend more than kDownSteps grid
     // points per epoch, so one cold epoch cannot strand the fleet at the
     // bottom of the grid for a whole reaction interval.
     const auto& curve = manager_.curve();
     const std::size_t cur = grid_index(obs.frequency);
     const std::size_t tgt = grid_index(target);
-    if (tgt < cur && cur - tgt > static_cast<std::size_t>(down_steps_)) {
-      return curve[cur - static_cast<std::size_t>(down_steps_)].frequency;
-    }
+    if (tgt < cur && cur - tgt > kDownSteps) return curve[cur - kDownSteps].frequency;
     return target;
   }
 
@@ -209,28 +195,43 @@ class OndemandGovernor final : public FleetGovernor {
   }
 
   const pm::PowerManager& manager_;
-  double headroom_;
-  double up_threshold_;
-  int down_steps_;
 };
 
 class NtcBoostGovernor final : public FleetGovernor {
+  /// Provisioning floor for the pin: the pinned point is the most
+  /// server-efficient grid frequency whose throughput is at least this
+  /// fraction of the curve's peak. A fleet parked below its sustained
+  /// base load would live on the boost, which costs more than it saves.
+  static constexpr double kNtcMinCapacity = 0.85;
+  /// Boost engages when epoch p99 > kBoostFraction * limit (the margin
+  /// must *lead* the violation: the tail keeps climbing for the rest of
+  /// the epoch that trips the trigger) and releases below
+  /// kReleaseFraction * limit.
+  static constexpr double kBoostFraction = 0.6;
+  static constexpr double kReleaseFraction = 0.3;
+  /// Saturation is the *leading* boost trigger: an epoch whose measured
+  /// utilization reaches kBoostUtilization engages the boost before the
+  /// tail has formed (p99 is a lagging indicator — by the time it
+  /// crosses the limit, a backlog of damaged requests already exists).
+  /// Release additionally requires utilization below
+  /// kReleaseUtilization, so the boost is held through a sustained
+  /// crest.
+  static constexpr double kBoostUtilization = 0.95;
+  static constexpr double kReleaseUtilization = 0.70;
+
  public:
   NtcBoostGovernor(const GovernorConfig& config, const pm::PowerManager& manager)
       : manager_(manager),
         // The pin: the most server-efficient grid point that still
-        // covers the provisioning floor (ntc_min_capacity of peak
+        // covers the provisioning floor (kNtcMinCapacity of peak
         // throughput). The unconstrained efficiency optimum of a
         // strongly sub-linear measured curve can sit far below the
         // service's sustained load — a fleet parked there would live on
         // the boost, which defeats it.
-        f_opt_(manager.efficiency_optimal_frequency(config.ntc_min_capacity *
-                                                    manager.peak_uips())),
+        f_opt_(manager.efficiency_optimal_frequency(kNtcMinCapacity * manager.peak_uips())),
         f_boost_(manager.curve().back().frequency),
-        boost_at_(config.qos_p99_limit * config.boost_fraction),
-        release_at_(config.qos_p99_limit * config.release_fraction),
-        util_boost_(config.boost_utilization),
-        util_release_(config.release_utilization) {
+        boost_at_(config.qos_p99_limit * kBoostFraction),
+        release_at_(config.qos_p99_limit * kReleaseFraction) {
     // The FBB boost point: forward bias at the nominal top operating
     // point's supply shifts Vth down and lifts the reachable frequency
     // *above* the DVFS maximum (paper Sec. II-A item 2: computation
@@ -246,7 +247,7 @@ class NtcBoostGovernor final : public FleetGovernor {
     // of the FBB spike response), and the bias's leakage penalty is what
     // the overdrive costs.
     boosted_manager_ = std::make_unique<pm::PowerManager>(
-        manager.platform().with_tech(fbb), manager.curve(), config.core_activity);
+        manager.platform().with_tech(fbb), manager.curve());
   }
 
   [[nodiscard]] GovernorKind kind() const override { return GovernorKind::kNtcBoost; }
@@ -296,10 +297,10 @@ class NtcBoostGovernor final : public FleetGovernor {
     // signal and only utilization speaks.
     const bool tail_signal = obs.p99.value() > 0.0;
     const bool pressure = (tail_signal && obs.p99 > boost_at_) ||
-                          obs.utilization >= util_boost_;
+                          obs.utilization >= kBoostUtilization;
     const bool tail_calm = !tail_signal || obs.p99 < release_at_;
     if (!boosted_ && pressure) return true;
-    if (boosted_ && tail_calm && obs.utilization < util_release_) return false;
+    if (boosted_ && tail_calm && obs.utilization < kReleaseUtilization) return false;
     return boosted_;
   }
 
@@ -308,8 +309,6 @@ class NtcBoostGovernor final : public FleetGovernor {
   Hertz f_boost_;
   Second boost_at_;
   Second release_at_;
-  double util_boost_;
-  double util_release_;
   std::unique_ptr<pm::PowerManager> boosted_manager_;
   bool boosted_ = false;
 };
@@ -327,15 +326,14 @@ std::unique_ptr<FleetGovernor> make_governor(const GovernorConfig& config,
       governor = std::make_unique<FixedMaxGovernor>(manager);
       break;
     case GovernorKind::kOndemandDvfs:
-      governor = std::make_unique<OndemandGovernor>(config, manager);
+      governor = std::make_unique<OndemandGovernor>(manager);
       break;
     case GovernorKind::kNtcBoost:
       governor = std::make_unique<NtcBoostGovernor>(config, manager);
       break;
   }
   if (!governor) throw ModelError("unknown governor kind");
-  governor->configure_guardband(config.guardband_margin, config.guardband_hold_epochs,
-                                config.guardband_relax_step);
+  governor->configure_guardband(config.guardband_margin);
   return governor;
 }
 

@@ -105,59 +105,28 @@ struct GovernorConfig {
   /// capacity model demand is measured against. Empty means "use
   /// ctrl::default_uips_curve()" (resolved at fleet construction).
   pm::UipsCurve curve;
-  /// Ondemand capacity margin: chosen capacity >= headroom * measured
-  /// demand, so utilization settles near 1/headroom.
-  double headroom = 1.4;
-  /// Ondemand up-threshold: an epoch whose utilization reaches this jumps
-  /// straight to the top frequency (the kernel governor's rule — measured
-  /// demand saturates at capacity, so proportional scaling cannot climb
-  /// out of an overload).
-  double up_threshold = 0.85;
-  /// Ondemand down-rate limit: at most this many curve grid steps down
-  /// per epoch (fast up, gradual down — one cold epoch must not drop the
-  /// fleet to the bottom of the grid).
-  int down_steps = 2;
   /// NTC boost SLO on the measured epoch p99, in *simulated* time (use
   /// qos::sim_qos_limit to anchor an application QoS limit here).
   /// Required (> 0) for kNtcBoost, ignored by the other kinds.
   Second qos_p99_limit{0.0};
-  /// Boost engages when epoch p99 > boost_fraction * limit (the margin
-  /// must *lead* the violation: the tail keeps climbing for the rest of
-  /// the epoch that trips the trigger) and releases below
-  /// release_fraction * limit.
-  double boost_fraction = 0.6;
-  double release_fraction = 0.3;
-  /// Saturation is the *leading* boost trigger: an epoch whose measured
-  /// utilization reaches boost_utilization engages the boost before the
-  /// tail has formed (p99 is a lagging indicator — by the time it
-  /// crosses the limit, a backlog of damaged requests already exists).
-  /// Release additionally requires utilization below
-  /// release_utilization, so the boost is held through a sustained
-  /// crest.
-  double boost_utilization = 0.95;
-  double release_utilization = 0.70;
-  /// Provisioning floor for the NTC pin: the pinned point is the most
-  /// server-efficient grid frequency whose throughput is at least this
-  /// fraction of the curve's peak. A fleet parked below its sustained
-  /// base load would live on the boost, which costs more than it saves.
-  double ntc_min_capacity = 0.85;
-  /// Core switching-activity factor for the PowerManager's power model.
-  double core_activity = 0.5;
   /// ---- Guardband mode (graceful degradation on detected errors) ----
   /// A fault::FaultKind::kDegrade event delivered to a governed chip
   /// calls FleetGovernor::on_error(): the governor backs off any FBB
   /// overdrive and raises its operating margin to guardband_margin (the
   /// supply point of f*(1+margin) while serving at f, charged through
-  /// the existing power model). After guardband_hold_epochs at full
-  /// margin it relaxes by guardband_relax_step per epoch, so recovery to
+  /// the existing power model). After kGuardbandHoldEpochs at full
+  /// margin it relaxes by kGuardbandRelaxStep per epoch, so recovery to
   /// the pre-fault operating point is bounded by
   /// hold + ceil(margin/step) epochs.
   double guardband_margin = 0.12;
-  int guardband_hold_epochs = 2;
-  double guardband_relax_step = 0.03;
 
   void validate() const;
 };
+
+/// Closed epochs a guardbanded chip holds its full margin before relaxing.
+inline constexpr int kGuardbandHoldEpochs = 2;
+/// Margin the guardband sheds per closed epoch once the hold has passed.
+inline constexpr double kGuardbandRelaxStep = 0.03;
 
 /// Nominal chip-scale UIPS curve on the paper's 0.2-2.0 GHz axis, scaled
 /// from the same per-core UIPC the scenario sizing uses with a mildly
@@ -166,8 +135,8 @@ struct GovernorConfig {
 /// measured sweeps instead.
 [[nodiscard]] pm::UipsCurve default_uips_curve();
 
-/// The PowerManager a governed fleet charges energy through: the paper's
-/// FD-SOI platform with the governor's curve and activity factor.
+/// The PowerManager a governed fleet charges energy through: the
+/// governor's technology flavor with its curve.
 [[nodiscard]] pm::PowerManager make_power_manager(const GovernorConfig& config);
 
 /// Epoch-based feedback controller over the running fleet.
@@ -210,7 +179,7 @@ class FleetGovernor {
                                            double duty, Second duration) const;
 
   // ---- Guardband mode (all governor kinds; see GovernorConfig) ----
-  void configure_guardband(double margin, int hold_epochs, double relax_step);
+  void configure_guardband(double margin);
   /// A detected error on the governed chip: engage the full margin and
   /// restart the hold window. Idempotent while already guardbanded.
   void on_error();
@@ -228,8 +197,6 @@ class FleetGovernor {
 
  private:
   double guard_margin_ = 0.12;
-  int guard_hold_ = 2;
-  double guard_step_ = 0.03;
   double margin_ = 0.0;
   int hold_left_ = 0;
 };

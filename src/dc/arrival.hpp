@@ -4,8 +4,8 @@
 // under "heavy traffic from millions of users"; this module provides the
 // arrival side of that traffic as deterministic generators of absolute
 // arrival times (seconds). Four analytic families cover the scenario space
-// — fixed-spacing (closed-form baseline), Poisson (the M/G/1 refinement's
-// assumption, Sec. V-A), 2-state MMPP (request storms / bursty tenants)
+// — fixed-spacing (closed-form baseline), Poisson (memoryless arrivals,
+// Sec. V-A), 2-state MMPP (request storms / bursty tenants)
 // and diurnal non-homogeneous Poisson (day/night load, Sec. V-C) — plus a
 // Bitbrains-backed mode that aggregates the per-VM CPU demand of a sampled
 // business-critical VM population (Shen et al., CCGrid'15; paper

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "workload/synthetic.hpp"
 
 namespace ntserv::dc {
@@ -45,13 +46,8 @@ ChipServer::ChipServer(const ChipParams& params)
     const int g = params.first_cluster_index + k;
     const std::uint64_t cluster_seed =
         derive_seed(params.fleet_seed, 0x5E28ull + static_cast<std::uint64_t>(g));
-    std::vector<std::unique_ptr<cpu::UopSource>> sources;
-    for (int c = 0; c < cc.hierarchy.cores; ++c) {
-      sources.push_back(std::make_unique<workload::SyntheticWorkload>(
-          params.profile, cluster_seed + static_cast<std::uint64_t>(c) * 7919,
-          workload::AddressSpace::for_core(static_cast<CoreId>(c))));
-    }
-    clusters_.push_back(std::make_unique<sim::Cluster>(cc, std::move(sources)));
+    clusters_.push_back(std::make_unique<sim::Cluster>(
+        cc, workload::per_core_streams(params.profile, cluster_seed, cc.hierarchy.cores)));
   }
   slots_.resize(static_cast<std::size_t>(params.clusters * cores_per_cluster_));
   busy_per_cluster_.assign(static_cast<std::size_t>(params.clusters), 0);
@@ -351,10 +347,7 @@ ChipServer::EpochOutcome ChipServer::close_epoch(double now_s, double duration,
   double p99 = 0.0;
   if (!epoch_latencies_.empty()) {
     std::sort(epoch_latencies_.begin(), epoch_latencies_.end());
-    auto rank = static_cast<std::size_t>(
-        std::ceil(0.99 * static_cast<double>(epoch_latencies_.size())));
-    rank = std::max<std::size_t>(rank, 1);
-    p99 = epoch_latencies_[std::min(rank, epoch_latencies_.size()) - 1];
+    p99 = nearest_rank(epoch_latencies_, 0.99);
   }
   rec.p99 = Second{p99};
 

@@ -78,7 +78,6 @@ void FleetConfig::validate() const {
   faults.validate();
   resilience.validate();
   brownout.validate();
-  breaker.validate();
   for (const auto& e : faults.events) {
     if (e.kind == fault::FaultKind::kDomainOutage ||
         e.kind == fault::FaultKind::kThermalEmergency) {
@@ -201,8 +200,7 @@ ClusterFleet::ClusterFleet(FleetConfig config, int threads)
   }
   if (config_.brownout.enabled) brownout_.emplace(config_.brownout);
   if (config_.breaker.enabled) {
-    breakers_.assign(static_cast<std::size_t>(config_.servers),
-                     ctrl::CircuitBreaker{config_.breaker});
+    breakers_.assign(static_cast<std::size_t>(config_.servers), ctrl::CircuitBreaker{});
   }
   const orch::OrchestratorConfig& oc = config_.orchestration;
   if (oc.autoscaler.enabled) autoscaler_.emplace(oc.autoscaler);
@@ -951,7 +949,7 @@ class ClusterFleet::Run {
   }
   [[nodiscard]] double timeout_for(bool critical) const {
     if (!critical && stage_ >= ctrl::BrownoutStage::kRelaxBatchQos) {
-      return timeout_s_ * fleet_.config_.brownout.batch_timeout_relax;
+      return timeout_s_ * ctrl::kBatchTimeoutRelax;
     }
     return timeout_s_;
   }

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/stats.hpp"
 
 namespace ntserv::dc {
 
@@ -24,7 +25,7 @@ namespace ntserv::dc {
 class StreamingPercentiles {
  public:
   /// Exact-population threshold: below this count percentiles are computed
-  /// by sorting (bit-identical to PercentileTracker's nearest rank).
+  /// by sorting (the same nearest rank as PercentileTracker).
   static constexpr std::size_t kExactCap = 512;
 
   explicit StreamingPercentiles(std::vector<double> quantiles = {0.50, 0.95, 0.99})
@@ -82,11 +83,7 @@ class StreamingPercentiles {
   [[nodiscard]] double exact_nearest_rank(double q) const {
     std::vector<double> sorted = exact_;
     std::sort(sorted.begin(), sorted.end());
-    auto rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(sorted.size())));
-    if (rank == 0) rank = 1;
-    if (rank > sorted.size()) rank = sorted.size();
-    return sorted[rank - 1];
+    return nearest_rank(sorted, q);
   }
 
   /// Warm-start every quantile's markers from the full sorted exact buffer.

@@ -15,8 +15,7 @@ std::uint64_t take(std::uint64_t& v, std::uint64_t count) {
 
 }  // namespace
 
-AddressMapper::AddressMapper(DramGeometry geometry, AddressMapping mapping)
-    : geometry_(geometry), mapping_(mapping) {
+AddressMapper::AddressMapper(DramGeometry geometry) : geometry_(geometry) {
   NTSERV_EXPECTS(geometry_.capacity_bytes() > 0, "empty DRAM geometry");
 }
 
@@ -24,50 +23,24 @@ DramCoord AddressMapper::decode(Addr line_addr) const {
   const auto& g = geometry_;
   std::uint64_t v = line_addr / kCacheLineBytes;
   DramCoord c;
-  switch (mapping_) {
-    case AddressMapping::kRowRankBankColChan:
-      // Lowest digits change fastest: channel, column, bank, group, rank, row.
-      c.channel = static_cast<int>(take(v, static_cast<std::uint64_t>(g.channels)));
-      c.column = static_cast<std::uint32_t>(take(v, g.lines_per_row));
-      c.bank = static_cast<int>(take(v, static_cast<std::uint64_t>(g.banks_per_group)));
-      c.bank_group = static_cast<int>(take(v, static_cast<std::uint64_t>(g.bank_groups)));
-      c.rank = static_cast<int>(take(v, static_cast<std::uint64_t>(g.ranks_per_channel)));
-      c.row = static_cast<std::uint32_t>(v % g.rows);
-      break;
-    case AddressMapping::kRowColRankBankChan:
-      c.channel = static_cast<int>(take(v, static_cast<std::uint64_t>(g.channels)));
-      c.bank = static_cast<int>(take(v, static_cast<std::uint64_t>(g.banks_per_group)));
-      c.bank_group = static_cast<int>(take(v, static_cast<std::uint64_t>(g.bank_groups)));
-      c.rank = static_cast<int>(take(v, static_cast<std::uint64_t>(g.ranks_per_channel)));
-      c.column = static_cast<std::uint32_t>(take(v, g.lines_per_row));
-      c.row = static_cast<std::uint32_t>(v % g.rows);
-      break;
-  }
+  c.channel = static_cast<int>(take(v, static_cast<std::uint64_t>(g.channels)));
+  c.column = static_cast<std::uint32_t>(take(v, g.lines_per_row));
+  c.bank = static_cast<int>(take(v, static_cast<std::uint64_t>(g.banks_per_group)));
+  c.bank_group = static_cast<int>(take(v, static_cast<std::uint64_t>(g.bank_groups)));
+  c.rank = static_cast<int>(take(v, static_cast<std::uint64_t>(g.ranks_per_channel)));
+  c.row = static_cast<std::uint32_t>(v % g.rows);
   c.flat = c.flat_bank(g);
   return c;
 }
 
 Addr AddressMapper::encode(const DramCoord& c) const {
   const auto& g = geometry_;
-  std::uint64_t v = 0;
-  switch (mapping_) {
-    case AddressMapping::kRowRankBankColChan:
-      v = c.row;
-      v = v * g.ranks_per_channel + static_cast<std::uint64_t>(c.rank);
-      v = v * g.bank_groups + static_cast<std::uint64_t>(c.bank_group);
-      v = v * g.banks_per_group + static_cast<std::uint64_t>(c.bank);
-      v = v * g.lines_per_row + c.column;
-      v = v * g.channels + static_cast<std::uint64_t>(c.channel);
-      break;
-    case AddressMapping::kRowColRankBankChan:
-      v = c.row;
-      v = v * g.lines_per_row + c.column;
-      v = v * g.ranks_per_channel + static_cast<std::uint64_t>(c.rank);
-      v = v * g.bank_groups + static_cast<std::uint64_t>(c.bank_group);
-      v = v * g.banks_per_group + static_cast<std::uint64_t>(c.bank);
-      v = v * g.channels + static_cast<std::uint64_t>(c.channel);
-      break;
-  }
+  std::uint64_t v = c.row;
+  v = v * g.ranks_per_channel + static_cast<std::uint64_t>(c.rank);
+  v = v * g.bank_groups + static_cast<std::uint64_t>(c.bank_group);
+  v = v * g.banks_per_group + static_cast<std::uint64_t>(c.bank);
+  v = v * g.lines_per_row + c.column;
+  v = v * g.channels + static_cast<std::uint64_t>(c.channel);
   return v * kCacheLineBytes;
 }
 

@@ -28,13 +28,15 @@ struct DramCoord {
   bool operator==(const DramCoord&) const = default;
 };
 
-/// Maps line addresses to DRAM coordinates according to the configured
-/// interleaving. The mapping is a pure bit-slicing function: it never
-/// aliases two different line addresses within the capacity to the same
+/// Maps line addresses to DRAM coordinates, line-interleaved as
+/// row : rank : bank-group : bank : column : channel (the lowest digits
+/// change fastest, which maximizes channel parallelism, the common server
+/// default). The mapping is a pure bit-slicing function: it never aliases
+/// two different line addresses within the capacity to the same
 /// coordinates (verified by the address-map round-trip tests).
 class AddressMapper {
  public:
-  AddressMapper(DramGeometry geometry, AddressMapping mapping);
+  explicit AddressMapper(DramGeometry geometry);
 
   [[nodiscard]] DramCoord decode(Addr line_addr) const;
   /// Inverse of decode (round-trip identity on line-aligned addresses).
@@ -44,7 +46,6 @@ class AddressMapper {
 
  private:
   DramGeometry geometry_;
-  AddressMapping mapping_;
 };
 
 }  // namespace ntserv::dram

@@ -129,7 +129,7 @@ void Channel::do_cas(const Pending& p, bool is_write, Cycle now) {
 
   const Cycle data_start = now + (is_write ? t.cwl : t.cl);
   const Cycle data_end = data_start + t.burst_cycles();
-  rank.refresh_stale = true;  // next_pre moves; closed page also precharges
+  rank.refresh_stale = true;  // next_pre moves
   data_bus_free_ = data_end;
   stats_.data_bus_busy_cycles += t.burst_cycles();
 
@@ -146,13 +146,6 @@ void Channel::do_cas(const Pending& p, bool is_write, Cycle now) {
     bank.next_pre = std::max(bank.next_pre, now + t.trtp);
     in_flight_.push_back({p.req.id, p.req.arrival, data_end});
     ++stats_.reads_issued;
-  }
-
-  if (config_.page_policy == PagePolicy::kClosed) {
-    // Model auto-precharge: schedule the precharge as soon as legal.
-    bank.active = false;
-    bank.next_act = std::max(bank.next_act, std::max(bank.next_pre, now) + t.trp);
-    ++stats_.precharges;
   }
 }
 
@@ -200,7 +193,6 @@ bool Channel::try_issue_cas(std::deque<Pending>& q, bool is_write, Cycle now) {
   // FR-FCFS first pass: oldest row-hit whose timing is satisfied.
   for (auto it = q.begin(); it != q.end(); ++it) {
     if (!cas_ready(*it, is_write, now)) continue;
-    if (config_.scheduler == SchedulerKind::kFcfs && it != q.begin()) break;
     if (!it->needed_act) ++stats_.row_hits;  // served from the open row
     do_cas(*it, is_write, now);
     if (is_write) {
@@ -214,9 +206,7 @@ bool Channel::try_issue_cas(std::deque<Pending>& q, bool is_write, Cycle now) {
 }
 
 bool Channel::try_issue_activate_or_precharge(std::deque<Pending>& q, Cycle now) {
-  const std::size_t scan_limit = config_.scheduler == SchedulerKind::kFcfs ? 1 : q.size();
-  for (std::size_t i = 0; i < scan_limit && i < q.size(); ++i) {
-    auto& p = q[i];
+  for (auto& p : q) {
     auto& rank = ranks_[static_cast<std::size_t>(p.coord.rank)];
     auto& bank = rank.banks[static_cast<std::size_t>(p.coord.flat)];
     if (now < rank.busy_until) continue;
@@ -362,26 +352,12 @@ Cycle Channel::next_event_cycle(Cycle from) const {
   const bool draining = effective_draining_writes();
   const auto& primary = draining ? write_q_ : read_q_;
   const auto& secondary = draining ? read_q_ : write_q_;
-  const bool fcfs = config_.scheduler == SchedulerKind::kFcfs;
-  if (!primary.empty()) {
-    if (fcfs) {
-      next = std::min(next, cas_enable(primary.front(), draining));
-      next = std::min(next, actpre_enable(primary.front()));
-    } else {
-      for (const auto& p : primary) {
-        next = std::min(next, cas_enable(p, draining));
-        next = std::min(next, actpre_enable(p));
-      }
-    }
+  for (const auto& p : primary) {
+    next = std::min(next, cas_enable(p, draining));
+    next = std::min(next, actpre_enable(p));
   }
-  if (!secondary.empty()) {
-    // Opportunistic CAS pass for the other direction runs every tick.
-    if (fcfs) {
-      next = std::min(next, cas_enable(secondary.front(), !draining));
-    } else {
-      for (const auto& p : secondary) next = std::min(next, cas_enable(p, !draining));
-    }
-  }
+  // Opportunistic CAS pass for the other direction runs every tick.
+  for (const auto& p : secondary) next = std::min(next, cas_enable(p, !draining));
   return std::max(next, from);
 }
 

@@ -1,5 +1,8 @@
 // One DDR4 channel: banks, ranks, timing-constraint tracking and the
 // command scheduler. This is the core of the DRAMSim2-equivalent substrate.
+// Open page: a row stays open until a request for another row in its bank
+// precharges it. FR-FCFS: the oldest row hit whose timing is met issues
+// first; otherwise the oldest request opens its row.
 #pragma once
 
 #include <cstdint>
@@ -47,11 +50,6 @@ struct ChannelStats {
     const auto total = row_hits + row_misses + row_conflicts;
     return total == 0 ? 0.0 : static_cast<double>(row_hits) / static_cast<double>(total);
   }
-  [[nodiscard]] double avg_read_latency() const {
-    return read_count == 0 ? 0.0
-                           : static_cast<double>(read_latency_sum) /
-                                 static_cast<double>(read_count);
-  }
 };
 
 /// Cycle-level model of one DDR4 channel with its ranks and banks.
@@ -84,8 +82,6 @@ class Channel {
   [[nodiscard]] Cycle next_event_cycle(Cycle from) const;
 
   [[nodiscard]] const ChannelStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t read_queue_size() const { return read_q_.size(); }
-  [[nodiscard]] std::size_t write_queue_size() const { return write_q_.size(); }
   [[nodiscard]] bool idle() const {
     return read_q_.empty() && write_q_.empty() && in_flight_.empty();
   }

@@ -69,35 +69,9 @@ struct DramGeometry {
   }
 };
 
-/// How physical addresses spread over the memory system.
-enum class AddressMapping {
-  /// row : rank : bank-group : bank : column : channel (line-interleaved
-  /// across channels — maximizes channel parallelism, the common server
-  /// default and our default).
-  kRowRankBankColChan,
-  /// row : column : rank : bank-group : bank : channel (consecutive lines
-  /// hit the same row across banks first).
-  kRowColRankBankChan,
-};
-
-/// Row-buffer management policy.
-enum class PagePolicy {
-  kOpen,    ///< keep row open until a conflict (FR-FCFS exploits hits)
-  kClosed,  ///< auto-precharge after each access
-};
-
-/// Command scheduling discipline.
-enum class SchedulerKind {
-  kFrFcfs,  ///< first-ready, first-come-first-served (row hits first)
-  kFcfs,    ///< strict arrival order (baseline)
-};
-
 struct DramConfig {
   Ddr4Timing timing = Ddr4Timing::ddr4_1600();
   DramGeometry geometry;
-  AddressMapping mapping = AddressMapping::kRowRankBankColChan;
-  PagePolicy page_policy = PagePolicy::kOpen;
-  SchedulerKind scheduler = SchedulerKind::kFrFcfs;
   /// Channel-local event skipping: after a tick with nothing to do, the
   /// channel computes its next possible action and fast-paths the ticks
   /// before it. Behaviour-identical (all state changes happen at

@@ -7,7 +7,7 @@
 namespace ntserv::dram {
 
 DramSystem::DramSystem(DramConfig config)
-    : config_(std::move(config)), mapper_(config_.geometry, config_.mapping) {
+    : config_(std::move(config)), mapper_(config_.geometry) {
   config_.validate();
   channels_.reserve(static_cast<std::size_t>(config_.geometry.channels));
   for (int c = 0; c < config_.geometry.channels; ++c) {

@@ -23,18 +23,6 @@ struct DramSystemStats {
   double avg_read_latency_cycles = 0.0;
   std::uint64_t refreshes = 0;
   std::uint64_t forwarded_reads = 0;  ///< reads serviced from a queued write
-
-  /// Achieved bandwidth over an interval of `cycles` memory-clock cycles.
-  [[nodiscard]] BytesPerSecond read_bandwidth(Cycle cycles, Hertz clock) const {
-    if (cycles == 0) return 0.0;
-    return static_cast<double>(read_bytes) /
-           (static_cast<double>(cycles) / clock.value());
-  }
-  [[nodiscard]] BytesPerSecond write_bandwidth(Cycle cycles, Hertz clock) const {
-    if (cycles == 0) return 0.0;
-    return static_cast<double>(write_bytes) /
-           (static_cast<double>(cycles) / clock.value());
-  }
 };
 
 /// The whole multi-channel memory system, ticked on the memory clock.

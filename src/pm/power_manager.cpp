@@ -31,17 +31,6 @@ LoadTrace LoadTrace::diurnal(int epochs, double low, double high) {
   return t;
 }
 
-LoadTrace LoadTrace::bursty(int epochs, double baseline, double spike, double spike_prob,
-                            std::uint64_t seed) {
-  NTSERV_EXPECTS(epochs > 0, "need at least one epoch");
-  LoadTrace t;
-  Xoshiro256StarStar rng{seed};
-  for (int i = 0; i < epochs; ++i) {
-    t.demand.push_back(rng.bernoulli(spike_prob) ? spike : baseline);
-  }
-  return t;
-}
-
 const char* to_string(Policy p) {
   switch (p) {
     case Policy::kRaceToIdle: return "race-to-idle";
@@ -52,10 +41,8 @@ const char* to_string(Policy p) {
   return "unknown";
 }
 
-PowerManager::PowerManager(power::ServerPowerModel platform, UipsCurve curve,
-                           double core_activity)
-    : platform_(std::move(platform)), curve_(std::move(curve)),
-      core_activity_(core_activity) {
+PowerManager::PowerManager(power::ServerPowerModel platform, UipsCurve curve)
+    : platform_(std::move(platform)), curve_(std::move(curve)) {
   NTSERV_EXPECTS(curve_.size() >= 2, "UIPS curve needs at least two points");
   std::sort(curve_.begin(), curve_.end(),
             [](const qos::UipsSample& a, const qos::UipsSample& b) {
@@ -119,8 +106,9 @@ Hertz PowerManager::efficiency_optimal_frequency(double min_uips) const {
 }
 
 Watt PowerManager::active_power(Hertz f) const {
+  constexpr double kCoreActivity = 0.5;  // core switching-activity factor
   power::ActivityVector a;
-  a.core_activity = core_activity_;
+  a.core_activity = kCoreActivity;
   // Scale memory/LLC traffic with throughput: a first-order activity model
   // sufficient for policy comparison (the detailed path is ServerSimulator).
   const double scale = uips_at(f) / peak_uips();

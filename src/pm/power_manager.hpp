@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "power/server_power.hpp"
 #include "qos/qos.hpp"
@@ -39,9 +38,6 @@ struct LoadTrace {
   /// Smooth diurnal (day/night) pattern over `epochs` epochs: sinusoid
   /// between `low` and `high` utilization.
   static LoadTrace diurnal(int epochs, double low = 0.15, double high = 0.85);
-  /// Bursty trace: baseline with random spikes (request storms).
-  static LoadTrace bursty(int epochs, double baseline, double spike, double spike_prob,
-                          std::uint64_t seed);
 };
 
 enum class Policy {
@@ -80,8 +76,7 @@ using UipsCurve = std::vector<qos::UipsSample>;
 /// Policy simulator over a fixed platform and throughput curve.
 class PowerManager {
  public:
-  PowerManager(power::ServerPowerModel platform, UipsCurve curve,
-               double core_activity = 0.5);
+  PowerManager(power::ServerPowerModel platform, UipsCurve curve);
 
   [[nodiscard]] const UipsCurve& curve() const { return curve_; }
   [[nodiscard]] const power::ServerPowerModel& platform() const { return platform_; }
@@ -105,7 +100,7 @@ class PowerManager {
   /// Frequency maximizing server-scope efficiency on the curve,
   /// optionally restricted to points delivering at least `min_uips`
   /// (the capacity-floored optimum the runtime governors pin — see
-  /// ctrl::GovernorConfig::ntc_min_capacity). Falls back to the top
+  /// kNtcMinCapacity in ctrl/governor.cpp). Falls back to the top
   /// point when nothing meets the floor.
   [[nodiscard]] Hertz efficiency_optimal_frequency(double min_uips = 0.0) const;
 
@@ -133,7 +128,6 @@ class PowerManager {
  private:
   power::ServerPowerModel platform_;
   UipsCurve curve_;
-  double core_activity_;
 };
 
 }  // namespace ntserv::pm

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace ntserv::qos {
 
@@ -127,18 +126,6 @@ Hertz degradation_floor(const std::vector<UipsSample>& sweep, double uips_at_bas
                         double bound) {
   NTSERV_EXPECTS(bound >= 1.0, "degradation bound must be >= 1");
   return floor_by_metric(sweep, uips_at_baseline, bound, &batch_degradation);
-}
-
-Second mg1_p99(double lambda, Second service, double cv2) {
-  NTSERV_EXPECTS(lambda >= 0.0, "arrival rate must be non-negative");
-  NTSERV_EXPECTS(service.value() > 0.0, "service time must be positive");
-  const double rho = lambda * service.value();
-  if (rho >= 1.0) return Second{std::numeric_limits<double>::infinity()};
-  // Pollaczek–Khinchine mean sojourn time.
-  const double wq = rho * (1.0 + cv2) / (2.0 * (1.0 - rho)) * service.value();
-  const double mean = wq + service.value();
-  // Exponential-tail approximation: p99 ~ mean * ln(100).
-  return Second{mean * std::log(100.0)};
 }
 
 }  // namespace ntserv::qos

@@ -10,9 +10,6 @@
 // Virtualized applications: batch tasks with no user interaction; the QoS
 // metric is the execution-time degradation versus the 2 GHz baseline,
 // bounded between 2x (min observed in production) and 4x (max acceptable).
-//
-// An optional M/G/1 queueing refinement models how the tail inflates as
-// utilization rises when the service rate drops with frequency.
 #pragma once
 
 #include <string>
@@ -81,14 +78,6 @@ struct QosTarget {
 /// this bound has measured_normalized_latency <= 1.
 [[nodiscard]] Second sim_qos_limit(const QosTarget& target, Second measured_baseline_p99);
 
-/// One point of a Fig. 2 series.
-struct QosPoint {
-  Hertz frequency;
-  double uips;
-  double normalized_p99;
-  bool meets_qos;
-};
-
 /// Lowest frequency in a measured UIPS(f) sweep that still meets QoS
 /// (linear interpolation between grid points). Throws if no point meets it.
 struct UipsSample {
@@ -112,14 +101,5 @@ constexpr double kMaxDegradationBound = 4.0;
 /// Lowest frequency whose degradation stays within `bound`.
 [[nodiscard]] Hertz degradation_floor(const std::vector<UipsSample>& sweep,
                                       double uips_at_baseline, double bound);
-
-// ---- M/G/1 tail refinement ----
-
-/// Approximate 99th-percentile sojourn time of an M/G/1 queue with Poisson
-/// arrivals `lambda` (req/s), mean service time `service` and service-time
-/// squared coefficient of variation `cv2`, using the exponential-tail
-/// approximation on the Pollaczek–Khinchine mean. Returns infinity when
-/// utilization >= 1.
-[[nodiscard]] Second mg1_p99(double lambda, Second service, double cv2 = 1.0);
 
 }  // namespace ntserv::qos

@@ -30,14 +30,6 @@ struct SmartsConfig {
   /// 95% confidence (z = 1.96), <=2% relative half-width (paper Sec. IV).
   double z = 1.960;
   double target_rel_error = 0.02;
-
-  /// The paper's Data Serving regime (slow convergence: larger windows).
-  static SmartsConfig data_serving_regime() {
-    SmartsConfig c;
-    c.warmup = 400'000;  // scaled from the paper's 2M:100K ratio, bounded
-    c.measure = 200'000;
-    return c;
-  }
 };
 
 struct SampleResult {

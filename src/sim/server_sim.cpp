@@ -59,13 +59,7 @@ OperatingPointResult ServerSimulator::evaluate(Hertz f) const {
   // sweep's results do not depend on evaluation order or thread count.
   const std::uint64_t point_seed =
       derive_seed(config_.seed, std::bit_cast<std::uint64_t>(f.value()));
-  std::vector<std::unique_ptr<cpu::UopSource>> sources;
-  for (int c = 0; c < cc.hierarchy.cores; ++c) {
-    sources.push_back(std::make_unique<workload::SyntheticWorkload>(
-        profile_, point_seed + static_cast<std::uint64_t>(c) * 7919,
-        workload::AddressSpace::for_core(static_cast<CoreId>(c))));
-  }
-  Cluster cluster{cc, std::move(sources)};
+  Cluster cluster{cc, workload::per_core_streams(profile_, point_seed, cc.hierarchy.cores)};
 
   SmartsSampler sampler{config_.smarts};
   SampleResult sampling = sampler.run(cluster);

@@ -149,18 +149,4 @@ TechnologyModel TechnologyModel::with_body_bias(Volt vbb) const {
   return TechnologyModel{p};
 }
 
-std::vector<OperatingPoint> dvfs_table(const TechnologyModel& tech, int n) {
-  NTSERV_EXPECTS(n >= 2, "DVFS table needs at least two points");
-  std::vector<OperatingPoint> table;
-  table.reserve(static_cast<std::size_t>(n));
-  const double f_lo = tech.min_vdd_frequency().value();
-  const double f_hi = tech.max_frequency().value();
-  for (int i = 0; i < n; ++i) {
-    const double t = static_cast<double>(i) / static_cast<double>(n - 1);
-    const Hertz f{f_lo + t * (f_hi - f_lo)};
-    table.push_back({f, tech.voltage_for(f)});
-  }
-  return table;
-}
-
 }  // namespace ntserv::tech

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
@@ -136,15 +135,5 @@ class TechnologyModel {
  private:
   TechnologyParams params_;
 };
-
-/// One (frequency, voltage) DVFS operating point.
-struct OperatingPoint {
-  Hertz frequency;
-  Volt vdd;
-};
-
-/// Build an `n`-point DVFS table spanning [min_vdd_frequency, max_frequency]
-/// with uniform frequency spacing, mirroring a CPUFreq driver table.
-[[nodiscard]] std::vector<OperatingPoint> dvfs_table(const TechnologyModel& tech, int n);
 
 }  // namespace ntserv::tech

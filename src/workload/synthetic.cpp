@@ -255,4 +255,15 @@ cpu::MicroOp SyntheticWorkload::generate_one() {
   return op;
 }
 
+std::vector<std::unique_ptr<cpu::UopSource>> per_core_streams(
+    const WorkloadProfile& profile, std::uint64_t seed, int cores) {
+  std::vector<std::unique_ptr<cpu::UopSource>> sources;
+  for (int c = 0; c < cores; ++c) {
+    sources.push_back(std::make_unique<SyntheticWorkload>(
+        profile, seed + static_cast<std::uint64_t>(c) * 7919,
+        AddressSpace::for_core(static_cast<CoreId>(c))));
+  }
+  return sources;
+}
+
 }  // namespace ntserv::workload

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -94,5 +95,11 @@ class SyntheticWorkload final : public cpu::UopSource {
   double dep_log_denom_ = 0.0;    ///< log1p(-dep_p_), valid when dep_p_ < 1
   double os_enter_prob_ = 0.0;
 };
+
+/// One stream per core of a `cores`-core cluster: core c draws from seed
+/// `seed + c * 7919` over AddressSpace::for_core(c), so a cluster's
+/// streams are a pure function of (profile, seed).
+[[nodiscard]] std::vector<std::unique_ptr<cpu::UopSource>> per_core_streams(
+    const WorkloadProfile& profile, std::uint64_t seed, int cores);
 
 }  // namespace ntserv::workload

@@ -8,11 +8,9 @@
 namespace ntserv::dram {
 namespace {
 
-class MappingTest : public ::testing::TestWithParam<AddressMapping> {};
-
-TEST_P(MappingTest, RoundTripIdentity) {
+TEST(AddressMap, RoundTripIdentity) {
   DramGeometry g;
-  const AddressMapper map{g, GetParam()};
+  const AddressMapper map{g};
   Xoshiro256StarStar rng{3};
   for (int i = 0; i < 20000; ++i) {
     const Addr a = (rng.uniform_below(g.capacity_bytes() / 64)) * 64;
@@ -21,9 +19,9 @@ TEST_P(MappingTest, RoundTripIdentity) {
   }
 }
 
-TEST_P(MappingTest, CoordinatesInRange) {
+TEST(AddressMap, CoordinatesInRange) {
   DramGeometry g;
-  const AddressMapper map{g, GetParam()};
+  const AddressMapper map{g};
   Xoshiro256StarStar rng{5};
   for (int i = 0; i < 20000; ++i) {
     const Addr a = (rng.uniform_below(g.capacity_bytes() / 64)) * 64;
@@ -38,12 +36,12 @@ TEST_P(MappingTest, CoordinatesInRange) {
   }
 }
 
-TEST_P(MappingTest, DistinctLinesDistinctCoords) {
+TEST(AddressMap, DistinctLinesDistinctCoords) {
   DramGeometry g;
   g.rows = 64;  // shrink so exhaustive enumeration is feasible
   g.lines_per_row = 8;
   g.ranks_per_channel = 2;
-  const AddressMapper map{g, GetParam()};
+  const AddressMapper map{g};
   std::set<std::tuple<int, int, int, int, std::uint32_t, std::uint32_t>> seen;
   const std::uint64_t lines = g.capacity_bytes() / 64;
   for (std::uint64_t l = 0; l < lines; ++l) {
@@ -54,18 +52,9 @@ TEST_P(MappingTest, DistinctLinesDistinctCoords) {
   EXPECT_EQ(seen.size(), lines);
 }
 
-INSTANTIATE_TEST_SUITE_P(Mappings, MappingTest,
-                         ::testing::Values(AddressMapping::kRowRankBankColChan,
-                                           AddressMapping::kRowColRankBankChan),
-                         [](const auto& info) {
-                           return info.param == AddressMapping::kRowRankBankColChan
-                                      ? "RowRankBankColChan"
-                                      : "RowColRankBankChan";
-                         });
-
 TEST(AddressMap, ChannelInterleavingByLine) {
-  // Default mapping: consecutive lines hit consecutive channels.
-  const AddressMapper map{DramGeometry{}, AddressMapping::kRowRankBankColChan};
+  // Consecutive lines hit consecutive channels.
+  const AddressMapper map{DramGeometry{}};
   for (Addr line = 0; line < 16; ++line) {
     EXPECT_EQ(map.decode(line * 64).channel, static_cast<int>(line % 4));
   }
@@ -76,7 +65,7 @@ TEST(AddressMap, PaperCapacityIs64GiB) {
 }
 
 TEST(AddressMap, SubLineBitsIgnored) {
-  const AddressMapper map{DramGeometry{}, AddressMapping::kRowRankBankColChan};
+  const AddressMapper map{DramGeometry{}};
   const DramCoord a = map.decode(4096);
   const DramCoord b = map.decode(4096 + 63);
   EXPECT_EQ(a, b);

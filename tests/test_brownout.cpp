@@ -6,12 +6,11 @@
 namespace ntserv::ctrl {
 namespace {
 
+// The ladder escalates at pressure >= 2.0, counts an epoch calm below
+// 0.75 and steps down after 3 consecutive calm epochs.
 BrownoutConfig ladder_config() {
   BrownoutConfig cfg;
   cfg.enabled = true;
-  cfg.enter_pressure = 2.0;
-  cfg.exit_pressure = 0.75;
-  cfg.recover_epochs = 3;
   return cfg;
 }
 
@@ -72,27 +71,12 @@ TEST(Brownout, MaxStageClampsTheLadder) {
 TEST(Brownout, ValidationRejectsBadConfigs) {
   {
     BrownoutConfig cfg = ladder_config();
-    cfg.exit_pressure = cfg.enter_pressure;  // no hysteresis band
-    EXPECT_THROW(cfg.validate(), ModelError);
-  }
-  {
-    BrownoutConfig cfg = ladder_config();
-    cfg.recover_epochs = 0;
-    EXPECT_THROW(cfg.validate(), ModelError);
-  }
-  {
-    BrownoutConfig cfg = ladder_config();
-    cfg.batch_timeout_relax = 0.5;  // would tighten batch timeouts
-    EXPECT_THROW(cfg.validate(), ModelError);
-  }
-  {
-    BrownoutConfig cfg = ladder_config();
     cfg.max_stage = BrownoutStage::kNormal;  // a ladder that cannot act
     EXPECT_THROW(cfg.validate(), ModelError);
   }
   {
     BrownoutConfig cfg;  // disabled: nothing validated
-    cfg.exit_pressure = 100.0;
+    cfg.max_stage = BrownoutStage::kNormal;
     EXPECT_NO_THROW(cfg.validate());
   }
 }
@@ -101,15 +85,8 @@ TEST(Brownout, ValidationRejectsBadConfigs) {
 // Circuit breaker
 // ---------------------------------------------------------------------------
 
-BreakerConfig breaker_config() {
-  BreakerConfig cfg;
-  cfg.enabled = true;
-  cfg.trip_rate = 0.5;
-  cfg.min_samples = 4;
-  cfg.open_epochs = 2;
-  cfg.probe_successes = 2;
-  return cfg;
-}
+// A breaker trips at a 50% failure rate over at least 8 dispatches,
+// dwells open for 2 epochs and closes after 4 half-open successes.
 
 void feed(CircuitBreaker& b, int dispatches, int failures) {
   for (int i = 0; i < dispatches; ++i) b.record_dispatch();
@@ -117,8 +94,8 @@ void feed(CircuitBreaker& b, int dispatches, int failures) {
 }
 
 TEST(Breaker, ThinEvidenceNeverTrips) {
-  CircuitBreaker b{breaker_config()};
-  feed(b, 3, 3);  // 100% failure but below min_samples
+  CircuitBreaker b;
+  feed(b, 7, 7);  // 100% failure but below the 8-dispatch minimum
   b.close_epoch();
   EXPECT_EQ(b.state(), BreakerState::kClosed);
   EXPECT_TRUE(b.allow_dispatch());
@@ -126,8 +103,8 @@ TEST(Breaker, ThinEvidenceNeverTrips) {
 }
 
 TEST(Breaker, TripsAtTheBarrierOnTheWindowRate) {
-  CircuitBreaker b{breaker_config()};
-  feed(b, 4, 2);  // exactly the 50% trip rate at min_samples
+  CircuitBreaker b;
+  feed(b, 8, 4);  // exactly the 50% trip rate at the 8-dispatch minimum
   EXPECT_EQ(b.state(), BreakerState::kClosed);  // never mid-epoch
   b.close_epoch();
   EXPECT_EQ(b.state(), BreakerState::kOpen);
@@ -136,18 +113,18 @@ TEST(Breaker, TripsAtTheBarrierOnTheWindowRate) {
 }
 
 TEST(Breaker, WindowResetsEachEpoch) {
-  CircuitBreaker b{breaker_config()};
-  feed(b, 4, 1);  // 25% < trip rate
+  CircuitBreaker b;
+  feed(b, 8, 2);  // 25% < trip rate
   b.close_epoch();
   EXPECT_EQ(b.state(), BreakerState::kClosed);
-  feed(b, 4, 1);  // failures do not accumulate across barriers
+  feed(b, 8, 2);  // failures do not accumulate across barriers
   b.close_epoch();
   EXPECT_EQ(b.state(), BreakerState::kClosed);
 }
 
 TEST(Breaker, OpenDwellsThenProbesHalfOpen) {
-  CircuitBreaker b{breaker_config()};
-  feed(b, 4, 4);
+  CircuitBreaker b;
+  feed(b, 8, 8);
   b.close_epoch();
   ASSERT_EQ(b.state(), BreakerState::kOpen);
   b.close_epoch();  // dwell epoch 1 of 2
@@ -158,27 +135,27 @@ TEST(Breaker, OpenDwellsThenProbesHalfOpen) {
 }
 
 TEST(Breaker, HalfOpenClosesOnSustainedSuccess) {
-  CircuitBreaker b{breaker_config()};
-  feed(b, 4, 4);
+  CircuitBreaker b;
+  feed(b, 8, 8);
   b.close_epoch();
   b.close_epoch();
   b.close_epoch();
   ASSERT_EQ(b.state(), BreakerState::kHalfOpen);
-  b.record_success();
+  for (int i = 0; i < 3; ++i) b.record_success();
   EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
-  b.record_success();  // probe_successes reached
+  b.record_success();  // the 4th probe success closes
   EXPECT_EQ(b.state(), BreakerState::kClosed);
   EXPECT_EQ(b.trips(), 1);
 }
 
 TEST(Breaker, HalfOpenReopensOnAnyFailure) {
-  CircuitBreaker b{breaker_config()};
-  feed(b, 4, 4);
+  CircuitBreaker b;
+  feed(b, 8, 8);
   b.close_epoch();
   b.close_epoch();
   b.close_epoch();
   ASSERT_EQ(b.state(), BreakerState::kHalfOpen);
-  b.record_success();
+  for (int i = 0; i < 3; ++i) b.record_success();
   b.record_failure();  // one failure voids the probe
   EXPECT_EQ(b.state(), BreakerState::kOpen);
   EXPECT_EQ(b.trips(), 2);
@@ -190,35 +167,12 @@ TEST(Breaker, HalfOpenReopensOnAnyFailure) {
 }
 
 TEST(Breaker, ClosedStateIgnoresSuccessBookkeeping) {
-  CircuitBreaker b{breaker_config()};
+  CircuitBreaker b;
   feed(b, 8, 0);
   for (int i = 0; i < 8; ++i) b.record_success();
   b.close_epoch();
   EXPECT_EQ(b.state(), BreakerState::kClosed);
   EXPECT_EQ(b.trips(), 0);
-}
-
-TEST(Breaker, ValidationRejectsBadConfigs) {
-  {
-    BreakerConfig cfg = breaker_config();
-    cfg.trip_rate = 1.5;
-    EXPECT_THROW(cfg.validate(), ModelError);
-  }
-  {
-    BreakerConfig cfg = breaker_config();
-    cfg.min_samples = 0;
-    EXPECT_THROW(cfg.validate(), ModelError);
-  }
-  {
-    BreakerConfig cfg = breaker_config();
-    cfg.open_epochs = 0;
-    EXPECT_THROW(cfg.validate(), ModelError);
-  }
-  {
-    BreakerConfig cfg = breaker_config();
-    cfg.probe_successes = 0;
-    EXPECT_THROW(cfg.validate(), ModelError);
-  }
 }
 
 }  // namespace

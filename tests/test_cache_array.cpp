@@ -5,9 +5,9 @@
 namespace ntserv::cache {
 namespace {
 
-CacheArrayParams small_cache(ReplacementPolicy pol = ReplacementPolicy::kLru) {
+CacheArrayParams small_cache() {
   // 4 sets x 2 ways x 64B = 512B.
-  return {512, 2, pol, 1, false};
+  return {512, 2, false};
 }
 
 Addr addr_of(std::size_t set, std::size_t tag_round) {
@@ -118,10 +118,8 @@ TEST(CacheArray, ProtectionFallsBackWhenAllShared) {
   EXPECT_TRUE(ev.valid);  // someone still got evicted
 }
 
-class ReplacementTest : public ::testing::TestWithParam<ReplacementPolicy> {};
-
-TEST_P(ReplacementTest, WorkingSetWithinCapacityAlwaysHits) {
-  CacheArray c{{8 * kKiB, 4, GetParam(), 9, false}};
+TEST(CacheArray, WorkingSetWithinCapacityAlwaysHits) {
+  CacheArray c{{8 * kKiB, 4, false}};
   // 8KB / 64B = 128 lines: a 64-line working set fits.
   for (Addr l = 0; l < 64; ++l) {
     if (!c.probe(l * 64)) c.insert(l * 64, false);
@@ -138,8 +136,8 @@ TEST_P(ReplacementTest, WorkingSetWithinCapacityAlwaysHits) {
   EXPECT_EQ(misses, 0);
 }
 
-TEST_P(ReplacementTest, ThrashingSetEvicts) {
-  CacheArray c{{512, 2, GetParam(), 11, false}};
+TEST(CacheArray, ThrashingSetEvicts) {
+  CacheArray c{small_cache()};
   // 3 lines in a 2-way set cannot all stay resident.
   int misses = 0;
   for (int round = 0; round < 30; ++round) {
@@ -154,31 +152,18 @@ TEST_P(ReplacementTest, ThrashingSetEvicts) {
   EXPECT_GT(misses, 10);
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, ReplacementTest,
-                         ::testing::Values(ReplacementPolicy::kLru,
-                                           ReplacementPolicy::kRandom,
-                                           ReplacementPolicy::kSrrip),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case ReplacementPolicy::kLru: return "Lru";
-                             case ReplacementPolicy::kRandom: return "Random";
-                             case ReplacementPolicy::kSrrip: return "Srrip";
-                           }
-                           return "unknown";
-                         });
-
 TEST(CacheArray, ValidatesGeometry) {
-  EXPECT_THROW(CacheArray({0, 2, ReplacementPolicy::kLru, 1, false}), ModelError);
-  EXPECT_THROW(CacheArray({1000, 3, ReplacementPolicy::kLru, 1, false}), ModelError);
+  EXPECT_THROW(CacheArray({0, 2, false}), ModelError);
+  EXPECT_THROW(CacheArray({1000, 3, false}), ModelError);
   // Non-power-of-two set count: 3 * 64 * 1.
-  EXPECT_THROW(CacheArray({192, 1, ReplacementPolicy::kLru, 1, false}), ModelError);
+  EXPECT_THROW(CacheArray({192, 1, false}), ModelError);
 }
 
 TEST(CacheArray, PaperConfigurations) {
   // 32KB 2-way L1 and 4MB 16-way LLC construct with sane set counts.
-  const CacheArray l1{{32 * kKiB, 2, ReplacementPolicy::kLru, 1, false}};
+  const CacheArray l1{{32 * kKiB, 2, false}};
   EXPECT_EQ(l1.num_sets(), 256u);
-  const CacheArray llc{{4 * kMiB, 16, ReplacementPolicy::kLru, 1, true}};
+  const CacheArray llc{{4 * kMiB, 16, true}};
   EXPECT_EQ(llc.num_sets(), 4096u);
 }
 

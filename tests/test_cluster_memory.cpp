@@ -147,7 +147,7 @@ TEST(ClusterMemory, CoherenceInvariantsUnderRandomTraffic) {
 TEST(ClusterMemory, InclusiveEvictionShootsDownL1) {
   // Tiny LLC so demand traffic forces victimization of L1-resident lines.
   HierarchyParams p = no_prefetch();
-  p.llc = CacheArrayParams{16 * kKiB, 2, ReplacementPolicy::kLru, 17, false};
+  p.llc = CacheArrayParams{16 * kKiB, 2, false};
   ClusterMemorySystem mem{p, dram::DramConfig{}, ghz(1.0)};
   Xoshiro256StarStar rng{7};
   Cycle now = 0;
@@ -163,7 +163,7 @@ TEST(ClusterMemory, InclusiveEvictionShootsDownL1) {
 
 TEST(ClusterMemory, DirtyEvictionsReachDram) {
   HierarchyParams p = no_prefetch();
-  p.llc = CacheArrayParams{16 * kKiB, 2, ReplacementPolicy::kLru, 17, false};
+  p.llc = CacheArrayParams{16 * kKiB, 2, false};
   ClusterMemorySystem mem{p, dram::DramConfig{}, ghz(1.0)};
   Xoshiro256StarStar rng{13};
   Cycle now = 0;

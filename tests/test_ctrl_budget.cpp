@@ -24,23 +24,6 @@ TEST(Budget, FixedReturnsTheMeanForEveryRequest) {
   }
 }
 
-TEST(Budget, UniformStaysInBoundsAndCentersOnTheMean) {
-  BudgetConfig c;
-  c.kind = BudgetKind::kUniform;
-  c.mean = 8'000;
-  c.spread = 0.25;
-  const BudgetSampler s{c, 7};
-  double sum = 0.0;
-  const int n = 20'000;
-  for (int i = 0; i < n; ++i) {
-    const std::uint64_t b = s.sample(static_cast<std::uint64_t>(i));
-    EXPECT_GE(b, 6'000u);
-    EXPECT_LE(b, 10'000u);
-    sum += static_cast<double>(b);
-  }
-  EXPECT_NEAR(sum / n, 8'000.0, 8'000.0 * 0.01);
-}
-
 TEST(Budget, LognormalGoldenValues) {
   // Pinned stream: any change to the sampling algorithm or the seed
   // derivation shows up here before it silently re-shuffles every
@@ -80,8 +63,7 @@ TEST(Budget, FloorClampsTheLeftTail) {
   BudgetConfig c;
   c.kind = BudgetKind::kLognormal;
   c.mean = 100;
-  c.sigma = 2.0;  // heavy dispersion: raw draws go below the floor
-  c.min_instructions = 64;
+  c.sigma = 2.0;  // heavy dispersion: raw draws go below the 64-instruction floor
   const BudgetSampler s{c, 3};
   for (int i = 0; i < 5'000; ++i) {
     EXPECT_GE(s.sample(static_cast<std::uint64_t>(i)), 64u);
@@ -94,13 +76,6 @@ TEST(Budget, ValidationRejectsBadConfigs) {
   EXPECT_THROW(c.validate(), ModelError);
   c = lognormal_config();
   c.sigma = 0.0;
-  EXPECT_THROW(c.validate(), ModelError);
-  c = lognormal_config();
-  c.kind = BudgetKind::kUniform;
-  c.spread = 1.0;
-  EXPECT_THROW(c.validate(), ModelError);
-  c = lognormal_config();
-  c.min_instructions = 0;
   EXPECT_THROW(c.validate(), ModelError);
 }
 

@@ -280,7 +280,7 @@ TEST(Resilience, GuardbandChargesEnergyAndRecoversToThePin) {
   EXPECT_GT(faulted.guardband_epochs, 0);
   EXPECT_EQ(clean.guardband_epochs, 0);
   // Bound: hold + ceil(margin/step) epochs per error event.
-  const int bound = s.governor.guardband_hold_epochs + 4;  // ceil(0.12/0.03)
+  const int bound = ctrl::kGuardbandHoldEpochs + 4;  // ceil(0.12/0.03)
   EXPECT_LE(faulted.guardband_epochs, 2 * bound);  // one error event per chip
   EXPECT_GT(faulted.energy.value(), clean.energy.value());
   // The margin has fully relaxed by the end of the run on every chip.

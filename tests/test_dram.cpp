@@ -178,12 +178,8 @@ TEST(Dram, ForwardingFromWriteQueue) {
   EXPECT_TRUE(got);
 }
 
-class SchedulerTest : public ::testing::TestWithParam<SchedulerKind> {};
-
-TEST_P(SchedulerTest, CompletesMixedTraffic) {
-  DramConfig cfg;
-  cfg.scheduler = GetParam();
-  DramSystem mem{cfg};
+TEST(Dram, CompletesMixedTraffic) {
+  DramSystem mem;
   Xoshiro256StarStar rng{29};
   std::uint64_t id = 0, issued_reads = 0, completed = 0;
   for (Cycle c = 0; c < 60000; ++c) {
@@ -199,55 +195,6 @@ TEST_P(SchedulerTest, CompletesMixedTraffic) {
   }
   completed += drain(mem).size();
   EXPECT_EQ(completed, issued_reads);
-}
-
-INSTANTIATE_TEST_SUITE_P(Kinds, SchedulerTest,
-                         ::testing::Values(SchedulerKind::kFrFcfs, SchedulerKind::kFcfs),
-                         [](const auto& info) {
-                           return info.param == SchedulerKind::kFrFcfs ? "FrFcfs" : "Fcfs";
-                         });
-
-TEST(Dram, FrFcfsBeatsFcfsOnRowLocality) {
-  auto run = [](SchedulerKind kind) {
-    DramConfig cfg;
-    cfg.scheduler = kind;
-    DramSystem mem{cfg};
-    Xoshiro256StarStar rng{31};
-    std::uint64_t id = 0;
-    Cycle busy = 0;
-    // Interleave two row-local streams with random disturbers.
-    for (Cycle c = 0; c < 30000; ++c) {
-      if (c % 3 == 0) {
-        Addr a;
-        if (rng.bernoulli(0.7)) {
-          a = (id % 128) * 64 * 4;  // row-local
-        } else {
-          a = rng.uniform_below(1ull << 29) & ~63ull;
-        }
-        (void)mem.enqueue(id++, a, false);
-      }
-      mem.tick();
-      (void)mem.drain_completions();
-      ++busy;
-    }
-    return mem.stats().avg_read_latency_cycles;
-  };
-  EXPECT_LE(run(SchedulerKind::kFrFcfs), run(SchedulerKind::kFcfs) * 1.05);
-}
-
-TEST(Dram, ClosedPagePolicyWorks) {
-  DramConfig cfg;
-  cfg.page_policy = PagePolicy::kClosed;
-  DramSystem mem{cfg};
-  std::uint64_t id = 0;
-  for (int i = 0; i < 500; ++i) {
-    while (!mem.enqueue(id, static_cast<Addr>(i) * 64, false)) mem.tick();
-    ++id;
-  }
-  const auto done = drain(mem);
-  EXPECT_EQ(done.size(), 500u);
-  // Every access precharges: no row hits.
-  EXPECT_LT(mem.stats().row_hit_rate, 0.05);
 }
 
 TEST(Dram, StatsResetReportsDeltas) {

@@ -10,26 +10,13 @@ namespace ntserv {
 namespace {
 
 sim::ClusterConfig cluster_config(bool event_skipping, Hertz clock = ghz(2.0),
-                                  bool wakeup_list = true, const dram::DramConfig& dram = {},
-                                  const cpu::CoreParams& core = {}) {
+                                  bool wakeup_list = true, const cpu::CoreParams& core = {}) {
   sim::ClusterConfig cc;
   cc.core = core;
-  cc.dram = dram;
   cc.core_clock = clock;
   cc.event_skipping = event_skipping;
   cc.core.wakeup_list = wakeup_list;
   return cc;
-}
-
-std::vector<std::unique_ptr<cpu::UopSource>> sources_for(
-    const workload::WorkloadProfile& profile, std::uint64_t seed) {
-  std::vector<std::unique_ptr<cpu::UopSource>> sources;
-  for (int c = 0; c < 4; ++c) {
-    sources.push_back(std::make_unique<workload::SyntheticWorkload>(
-        profile, seed + static_cast<std::uint64_t>(c) * 7919,
-        workload::AddressSpace::for_core(static_cast<CoreId>(c))));
-  }
-  return sources;
 }
 
 void expect_identical_metrics(sim::Cluster& ticked, sim::Cluster& skipping) {
@@ -78,16 +65,16 @@ void expect_identical_metrics(sim::Cluster& ticked, sim::Cluster& skipping) {
 }
 
 void run_equivalence(const workload::WorkloadProfile& profile, Hertz clock,
-                     const dram::DramConfig& dram = {}, const cpu::CoreParams& core = {}) {
+                     const cpu::CoreParams& core = {}) {
   // Full scheduler x kernel matrix against one reference: the polled
   // issue scan without event skipping (the original cycle-by-cycle path).
   const auto config = [&](bool skipping, bool wakeup) {
-    return cluster_config(skipping, clock, wakeup, dram, core);
+    return cluster_config(skipping, clock, wakeup, core);
   };
-  sim::Cluster reference{config(false, false), sources_for(profile, 9001)};
-  sim::Cluster polled_skipping{config(true, false), sources_for(profile, 9001)};
-  sim::Cluster wakeup_ticked{config(false, true), sources_for(profile, 9001)};
-  sim::Cluster wakeup_skipping{config(true, true), sources_for(profile, 9001)};
+  sim::Cluster reference{config(false, false), workload::per_core_streams(profile, 9001, 4)};
+  sim::Cluster polled_skipping{config(true, false), workload::per_core_streams(profile, 9001, 4)};
+  sim::Cluster wakeup_ticked{config(false, true), workload::per_core_streams(profile, 9001, 4)};
+  sim::Cluster wakeup_skipping{config(true, true), workload::per_core_streams(profile, 9001, 4)};
   const auto each = [&](auto&& fn) {
     fn(polled_skipping);
     fn(wakeup_ticked);
@@ -127,26 +114,12 @@ TEST(EventSkipping, MatchesTickedPathAtLowFrequency) {
   run_equivalence(workload::WorkloadProfile::media_streaming(), mhz(400));
 }
 
-TEST(EventSkipping, MatchesTickedPathWithClosedPagePolicy) {
-  // Closed-page auto-precharge in do_cas closes banks without a PRE
-  // command, a bank-state path the open-page runs above never take.
-  dram::DramConfig closed;
-  closed.page_policy = dram::PagePolicy::kClosed;
-  run_equivalence(workload::WorkloadProfile::data_serving(), ghz(2.0), closed);
-}
-
-TEST(EventSkipping, MatchesTickedPathWithFcfsScheduler) {
-  dram::DramConfig fcfs;
-  fcfs.scheduler = dram::SchedulerKind::kFcfs;
-  run_equivalence(workload::WorkloadProfile::data_serving(), ghz(2.0), fcfs);
-}
-
 TEST(EventSkipping, MatchesTickedPathWithNonPowerOfTwoRob) {
   // 96 entries round the ROB ring up to 128 slots: the window wraps
   // mid-ring, and the ready-bitmap walk crosses the wrap point.
   cpu::CoreParams core;
   core.rob_entries = 96;
-  run_equivalence(workload::WorkloadProfile::data_serving(), ghz(2.0), {}, core);
+  run_equivalence(workload::WorkloadProfile::data_serving(), ghz(2.0), core);
 }
 
 TEST(EventSkipping, SkipsCyclesOnMemoryBoundWorkload) {
@@ -154,36 +127,32 @@ TEST(EventSkipping, SkipsCyclesOnMemoryBoundWorkload) {
   // per-rank bound is cached between bank-state changes: one left stale
   // and early only wakes the cluster for no-op ticks, so the metrics still
   // match the ticked path but skips are lost; one left stale and late
-  // breaks the equivalence above. Either way the total moves.
+  // breaks the equivalence above. Either way the total moves. Each of the
+  // four invalidations (ACT, PRE, CAS, REF) moves at least one total: the
+  // Data Serving run alone misses a stale bound after a CAS, which the
+  // Media Streaming run catches.
   struct Case {
-    dram::PagePolicy page;
-    dram::SchedulerKind scheduler;
+    workload::WorkloadProfile profile;
+    std::uint64_t seed;
     Cycle skipped;
   };
-  for (const Case& c : {Case{dram::PagePolicy::kOpen, dram::SchedulerKind::kFrFcfs, 29526},
-                        Case{dram::PagePolicy::kClosed, dram::SchedulerKind::kFrFcfs, 34450},
-                        Case{dram::PagePolicy::kOpen, dram::SchedulerKind::kFcfs, 49479}}) {
-    dram::DramConfig dram;
-    dram.page_policy = c.page;
-    dram.scheduler = c.scheduler;
-    sim::Cluster cl{cluster_config(true, ghz(2.0), true, dram),
-                    sources_for(workload::WorkloadProfile::data_serving(), 77)};
+  for (const Case& c : {Case{workload::WorkloadProfile::data_serving(), 77, 29526},
+                        Case{workload::WorkloadProfile::media_streaming(), 77, 32592}}) {
+    sim::Cluster cl{cluster_config(true), workload::per_core_streams(c.profile, c.seed, 4)};
     cl.run(150'000);
-    EXPECT_EQ(cl.skipped_cycles(), c.skipped)
-        << "closed=" << (c.page == dram::PagePolicy::kClosed)
-        << " fcfs=" << (c.scheduler == dram::SchedulerKind::kFcfs);
+    EXPECT_EQ(cl.skipped_cycles(), c.skipped) << c.profile.name << " seed " << c.seed;
   }
 }
 
 TEST(EventSkipping, RunUntilCommittedAgrees) {
   sim::Cluster reference{cluster_config(false, ghz(2.0), false),
-                         sources_for(workload::WorkloadProfile::web_search(), 5)};
+                         workload::per_core_streams(workload::WorkloadProfile::web_search(), 5, 4)};
   reference.run_until_committed(100'000, 1'000'000);
   for (const bool skipping : {false, true}) {
     for (const bool wakeup : {false, true}) {
       if (!skipping && !wakeup) continue;  // the reference itself
       sim::Cluster c{cluster_config(skipping, ghz(2.0), wakeup),
-                     sources_for(workload::WorkloadProfile::web_search(), 5)};
+                     workload::per_core_streams(workload::WorkloadProfile::web_search(), 5, 4)};
       c.run_until_committed(100'000, 1'000'000);
       EXPECT_EQ(reference.now(), c.now()) << "skipping=" << skipping << " wakeup=" << wakeup;
       EXPECT_EQ(reference.total_committed(), c.total_committed())
@@ -201,9 +170,9 @@ TEST(WakeupList, CalendarFeedsSkipKernelAndStaysMetricIdentical) {
   // evaluated), so only skip *activity* and metric identity are
   // invariants worth asserting — not a skip-count ordering.
   sim::Cluster polled{cluster_config(true, ghz(2.0), false),
-                      sources_for(workload::WorkloadProfile::data_serving(), 77)};
+                      workload::per_core_streams(workload::WorkloadProfile::data_serving(), 77, 4)};
   sim::Cluster wakeup{cluster_config(true, ghz(2.0), true),
-                      sources_for(workload::WorkloadProfile::data_serving(), 77)};
+                      workload::per_core_streams(workload::WorkloadProfile::data_serving(), 77, 4)};
   polled.run(150'000);
   wakeup.run(150'000);
   EXPECT_GT(wakeup.skipped_cycles(), 0u);

@@ -30,17 +30,6 @@ TEST(LoadTrace, DiurnalShape) {
   t.validate();
 }
 
-TEST(LoadTrace, BurstyStaysInRange) {
-  const auto t = LoadTrace::bursty(200, 0.2, 0.95, 0.1, 7);
-  int spikes = 0;
-  for (double d : t.demand) {
-    EXPECT_TRUE(d == 0.2 || d == 0.95);
-    if (d == 0.95) ++spikes;
-  }
-  EXPECT_GT(spikes, 5);
-  EXPECT_LT(spikes, 60);
-}
-
 TEST(LoadTrace, Validation) {
   LoadTrace t;
   EXPECT_THROW(t.validate(), ModelError);

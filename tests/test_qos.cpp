@@ -85,30 +85,5 @@ TEST(Qos, PaperBoundsConstants) {
   EXPECT_DOUBLE_EQ(kMaxDegradationBound, 4.0);
 }
 
-TEST(Qos, Mg1MonotoneInLoad) {
-  const Second svc = milliseconds(1.0);
-  double prev = 0.0;
-  for (double lambda : {100.0, 300.0, 600.0, 900.0}) {
-    const double p99 = mg1_p99(lambda, svc).value();
-    EXPECT_GT(p99, prev);
-    prev = p99;
-  }
-}
-
-TEST(Qos, Mg1InfiniteAtSaturation) {
-  EXPECT_TRUE(std::isinf(mg1_p99(1000.0, milliseconds(1.0)).value()));
-  EXPECT_TRUE(std::isinf(mg1_p99(2000.0, milliseconds(1.0)).value()));
-}
-
-TEST(Qos, Mg1ZeroLoadIsServiceTail) {
-  const Second p99 = mg1_p99(0.0, milliseconds(1.0));
-  EXPECT_NEAR(in_ms(p99), std::log(100.0), 1e-9);
-}
-
-TEST(Qos, Mg1VarianceInflatesTail) {
-  EXPECT_GT(mg1_p99(500.0, milliseconds(1.0), 4.0).value(),
-            mg1_p99(500.0, milliseconds(1.0), 1.0).value());
-}
-
 }  // namespace
 }  // namespace ntserv::qos

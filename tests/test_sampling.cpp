@@ -111,13 +111,6 @@ TEST(Smarts, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(ra.uipc_mean, rb.uipc_mean);
 }
 
-TEST(Smarts, DataServingRegimeUsesLargerWindows) {
-  const auto base = SmartsConfig{};
-  const auto ds = SmartsConfig::data_serving_regime();
-  EXPECT_GT(ds.warmup, base.warmup);
-  EXPECT_GT(ds.measure, base.measure);
-}
-
 TEST(Smarts, ValidatesConfig) {
   auto cl = make_cluster();
   SmartsConfig bad;

@@ -95,22 +95,5 @@ TEST(PercentileTracker, RejectsBadPercentile) {
   EXPECT_THROW((void)p.percentile(101), ModelError);
 }
 
-TEST(Histogram, BinningAndOverflow) {
-  Histogram h{0.0, 10.0, 10};
-  for (double x : {-1.0, 0.0, 0.5, 5.0, 9.99, 10.0, 42.0}) h.add(x);
-  EXPECT_EQ(h.total(), 7u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bin(0), 2u);  // 0.0, 0.5
-  EXPECT_EQ(h.bin(5), 1u);  // 5.0
-  EXPECT_EQ(h.bin(9), 1u);  // 9.99
-  EXPECT_DOUBLE_EQ(h.bin_low(5), 5.0);
-}
-
-TEST(Histogram, RejectsBadConfig) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), ModelError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), ModelError);
-}
-
 }  // namespace
 }  // namespace ntserv

@@ -147,19 +147,6 @@ INSTANTIATE_TEST_SUITE_P(Flavors, TechFlavorTest,
 
 // ---- Misc API ----
 
-TEST(Technology, DvfsTableSpansRange) {
-  const TechnologyModel soi{TechnologyParams::fdsoi28()};
-  const auto table = dvfs_table(soi, 10);
-  ASSERT_EQ(table.size(), 10u);
-  EXPECT_NEAR(table.front().frequency.value(), soi.min_vdd_frequency().value(), 1.0);
-  EXPECT_NEAR(table.back().frequency.value(), soi.max_frequency().value(), 1.0);
-  for (std::size_t i = 1; i < table.size(); ++i) {
-    EXPECT_GT(table[i].frequency.value(), table[i - 1].frequency.value());
-    EXPECT_GE(table[i].vdd.value(), table[i - 1].vdd.value());
-  }
-  EXPECT_THROW((void)dvfs_table(soi, 1), ModelError);
-}
-
 TEST(Technology, BodyBiasRangeEnforced) {
   const TechnologyModel soi{TechnologyParams::fdsoi28()};
   EXPECT_THROW((void)soi.with_body_bias(volts(-0.5)), ModelError);  // flip-well: FBB only
